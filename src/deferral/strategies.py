@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .profiles import ActivityProfile, critical_rate, entropy
 
@@ -266,6 +265,8 @@ def solve_numerical_oracle(
             s=np.zeros(n), r=np.zeros(n), phi=0.0, q_ref=profile,
             requested_phi=requested, clamped=clamped,
         )
+
+    from scipy import optimize  # lazily: its import takes ~0.5 s and only the oracle uses it
 
     ones_s = np.concatenate([np.ones(n), np.zeros(n)])
     ones_r = np.concatenate([np.zeros(n), np.ones(n)])

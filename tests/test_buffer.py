@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferral.buffer import (
+    CAUSALITY_ATOL,
     SteadyStatePattern,
+    _check_all_starts,
+    _first_cycle,
     analyze_buffer,
     capacity,
     delay_distribution,
@@ -11,7 +16,7 @@ from deferral.buffer import (
     steady_state,
 )
 from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, uniform_pmf
-from deferral.strategies import DeferralStrategy, solve_optimal
+from deferral.strategies import ZERO_ATOL, DeferralStrategy, solve_optimal
 
 
 def profile(q, count=1000.0):
@@ -218,3 +223,239 @@ class TestAnalyzeBuffer:
         strat = DeferralStrategy(s=[0, 0.1, 0, 0], r=[0.1, 0, 0, 0], phi=0.1, q_ref=prof)
         with pytest.raises(ValueError, match="critical rate"):
             analyze_buffer(strat)
+
+
+# -- scalar reference ---------------------------------------------------------
+# Per-slot scalar loops that the vectorized buffer analysis is checked
+# against.  The arithmetic is done in the same order, so start index,
+# occupancy and hazards must match bit for bit; the pmf within 1e-15.
+
+
+def _ref_occupancy_from(a, start, steps):
+    n = a.shape[0]
+    out = np.empty(steps)
+    level = 0.0
+    for j in range(steps):
+        level = max(level + a[(start - 1 + j) % n], 0.0)
+        out[j] = level
+    return out
+
+
+def ref_steady_state(strat, alpha):
+    """Reference steady state: one scalar run per start, behind the same
+    entry checks as :func:`steady_state`."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    stored, forwarded = float(np.sum(strat.s)), float(np.sum(strat.r))
+    if abs(stored - forwarded) > CAUSALITY_ATOL:
+        raise ValueError(
+            f"unbalanced strategy: sum(s) = {stored!r} and sum(r) = {forwarded!r} differ "
+            f"by {stored - forwarded!r}, more than {CAUSALITY_ATOL!r}; the buffer cannot drain"
+        )
+    a = np.asarray(strat.s, dtype=float) - np.asarray(strat.r, dtype=float)
+    n = a.shape[0]
+    start = find_starting_index(strat)
+    order = [(start - 1 + j) % n for j in range(n)]
+    s_prime = np.asarray(strat.s, dtype=float)[order]
+    r_prime = np.asarray(strat.r, dtype=float)[order]
+    prefix = np.cumsum(s_prime - r_prime)
+    if prefix.min() < -CAUSALITY_ATOL:
+        raise ValueError(
+            "internal inconsistency: negative prefix sum "
+            f"{prefix.min()!r} from starting index {start}"
+        )
+    b = _ref_occupancy_from(a, start, n)
+    if abs(b[-1]) > CAUSALITY_ATOL:
+        raise ValueError(f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0")
+    b[-1] = 0.0
+    for j in range(1, n + 1):
+        offset = (start - j) % n or n
+        run = _ref_occupancy_from(a, j, offset + n)
+        if not np.allclose(run[offset:], b, rtol=0.0, atol=CAUSALITY_ATOL):
+            raise ValueError(
+                f"internal inconsistency: recurrence from slot {j} does not "
+                f"converge onto the steady pattern after {offset} slots"
+            )
+    return SteadyStatePattern(
+        start_index=start, b=b, s_prime=s_prime, r_prime=r_prime,
+        alpha=float(alpha), phi=strat.phi, slot_duration=strat.q_ref.scheme.slot_duration,
+    )
+
+
+def ref_forwarding_hazards(pattern):
+    n = pattern.n
+    hazards = np.zeros(n)
+    for j in range(1, n + 1):
+        rj = pattern.r_prime[j - 1]
+        if rj <= ZERO_ATOL:
+            continue
+        prev = 0.0 if j == 1 else pattern.b[j - 2]
+        if prev <= CAUSALITY_ATOL:
+            raise ValueError(
+                f"non-causal pattern: forwarding {rj!r} at reordered slot {j} "
+                "with an empty buffer"
+            )
+        hazards[j - 1] = min(rj / prev, 1.0)
+    return hazards
+
+
+def ref_delay_pmf(pattern):
+    n = pattern.n
+    s = pattern.s_prime
+    hazards = ref_forwarding_hazards(pattern)
+    pmf = np.zeros(n)
+    for k in range(1, n + 1):
+        sk = s[k - 1]
+        if sk <= ZERO_ATOL:
+            continue
+        survive = 1.0
+        for delta in range(1, n + 1):
+            h = hazards[(k + delta - 1) % n]
+            if h > 0.0:
+                pmf[delta - 1] += sk * survive * h
+                survive *= 1.0 - h
+                if survive <= 0.0:
+                    break
+    return pmf
+
+
+def outcome(fn, *args):
+    """``("ok", result)`` or ``("raise", message)`` for a ValueError."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "raise", str(exc)
+
+
+KINDS = (
+    "one-slot", "uniform", "two-slot", "near-uniform", "solver", "random", "dense", "dust",
+)
+
+
+def drawn_strategy(kind, n, seed, fraction):
+    """A strategy of the given kind at ``fraction`` of its largest rate.
+
+    Solver outputs of the degenerate and Dirichlet(1) profiles; ``random``
+    stores on a random set of slots and forwards on the rest, a causal but
+    not optimal pattern; ``dense`` stores and forwards in every slot, which
+    is non-causal; ``dust`` does the same on a profile whose entries below
+    ``ZERO_ATOL`` get snapped away, which can unbalance the two masses.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "one-slot":
+        q = np.zeros(n)
+        q[rng.integers(n)] = 1.0
+    elif kind == "uniform":
+        q = uniform_pmf(n)
+    elif kind == "two-slot":
+        q = np.zeros(n)
+        q[rng.choice(n, size=2, replace=False)] = rng.dirichlet([1.0, 1.0])
+    elif kind == "near-uniform":
+        q = uniform_pmf(n) * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, n))
+        q /= q.sum()
+    else:
+        q = rng.dirichlet(np.full(n, 0.05 if kind == "dust" else 1.0))
+    prof = ActivityProfile(SlotScheme(n, 86400.0), q, count=1000.0)
+    if kind == "random":
+        stores = rng.permutation(n) < rng.integers(1, n)
+        phi = fraction * q[stores].sum()
+        r = np.zeros(n)
+        r[~stores] = phi * rng.dirichlet(np.ones(n - stores.sum()))
+        return DeferralStrategy(s=np.where(stores, q * fraction, 0.0), r=r, phi=phi, q_ref=prof)
+    if kind in ("dense", "dust"):
+        phi = fraction * 0.5
+        return DeferralStrategy(s=phi * q, r=phi * rng.dirichlet(np.ones(n)), phi=phi, q_ref=prof)
+    return solve_optimal(prof, fraction * critical_rate(prof))
+
+
+class TestScalarReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.sampled_from([2, 3, 24, 168]),
+        seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_matches_scalar_reference(self, kind, n, seed, fraction):
+        strat = drawn_strategy(kind, n, seed, fraction)
+        got = outcome(steady_state, strat, 500.0)
+        want = outcome(ref_steady_state, strat, 500.0)
+        assert got[0] == want[0]
+        if got[0] == "raise":
+            assert got[1] == want[1]
+            return
+        pattern, ref = got[1], want[1]
+        assert pattern.start_index == ref.start_index
+        assert np.array_equal(pattern.b, ref.b)
+        assert np.array_equal(pattern.s_prime, ref.s_prime)
+        assert np.array_equal(pattern.r_prime, ref.r_prime)
+
+        got = outcome(forwarding_hazards, pattern)
+        want = outcome(ref_forwarding_hazards, pattern)
+        assert got[0] == want[0]
+        if got[0] == "raise":
+            assert got[1] == want[1]
+            assert outcome(delay_distribution, pattern) == want
+            return
+        assert np.array_equal(got[1], want[1])
+        pmf = delay_distribution(pattern).pmf
+        assert np.abs(pmf - ref_delay_pmf(pattern)).max() <= 1e-15
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([2, 3, 24, 168]), seed=st.integers(0, 2**32 - 1))
+    def test_hazards_match_on_arbitrary_patterns(self, n, seed):
+        # patterns no strategy produces: the buffer empties mid-cycle, so
+        # several slots can forward from an empty buffer; the first is named
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 0.1, n) * (rng.random(n) < 0.7)
+        b[-1] = 0.0
+        r = rng.uniform(0.0, 0.05, n) * (rng.random(n) < 0.5)
+        s = rng.uniform(0.0, 0.05, n) * (rng.random(n) < 0.5)
+        pattern = SteadyStatePattern(
+            start_index=1, b=b, s_prime=s, r_prime=r, alpha=1.0, phi=float(s.sum())
+        )
+        got = outcome(forwarding_hazards, pattern)
+        want = outcome(ref_forwarding_hazards, pattern)
+        assert got[0] == want[0]
+        if got[0] == "raise":
+            assert got[1] == want[1]
+            return
+        assert np.array_equal(got[1], want[1])
+        assert np.abs(delay_distribution(pattern).pmf - ref_delay_pmf(pattern)).max() <= 1e-15
+
+    def test_minute_resolution(self):
+        n = 1440
+        q = np.random.default_rng(1440).dirichlet(np.ones(n))
+        prof = ActivityProfile(SlotScheme(n, 86400.0), q, count=1e5)
+        phi = 0.6 * critical_rate(prof)
+        pattern = steady_state(solve_optimal(prof, phi), 1e5)
+        dist = delay_distribution(pattern)
+        assert dist.pmf.sum() == pytest.approx(phi, abs=1e-9)
+        assert pattern.b[-1] == 0.0
+        assert 1.0 <= dist.expected_conditional <= n
+
+    def test_lockstep_check_catches_a_perturbed_pattern(self):
+        # keeps the all-starts check from going silently dead: one slot of
+        # the pattern off by twice the tolerance must be reported
+        prof = profile(np.random.default_rng(2).dirichlet(np.ones(24)))
+        pattern = steady_state(solve_optimal(prof, 0.2), 1.0)
+        a = pattern.s_prime - pattern.r_prime
+        b, levels = _first_cycle(a)
+        b[-1] = 0.0
+        _check_all_starts(a, b, levels, pattern.start_index)
+        b[7] += 2e-12
+        offset = (pattern.start_index - 1) % 24 or 24
+        message = f"recurrence from slot 1 does not converge onto the steady pattern after {offset} "
+        with pytest.raises(ValueError, match=message):
+            _check_all_starts(a, b, levels, pattern.start_index)
+
+
+def test_unbalanced_strategy_is_refused():
+    # DeferralStrategy accepts a mass error up to MASS_ATOL; snapping the
+    # dust entries of q leaves sum(s) - sum(r) = -8.1e-12, which no cycle drains
+    n, phi = 12, 0.9
+    q = np.array([0.5, 0.5 - 9e-12] + [9e-13] * 10)
+    strat = DeferralStrategy(s=phi * q, r=np.full(n, phi / n), phi=phi, q_ref=profile(q))
+    message = r"unbalanced strategy: sum\(s\) = .* and sum\(r\) = .* differ by -8\.0\d*e-12"
+    with pytest.raises(ValueError, match=message):
+        steady_state(strat, 100.0)
