@@ -27,6 +27,7 @@ from .strategies import (
     solve_grid_oracle,
     solve_numerical_oracle,
     solve_optimal,
+    waterfill,
 )
 from .buffer import (
     DelayDistribution,
@@ -82,4 +83,5 @@ __all__ = [
     "synth_population",
     "total_variation",
     "uniform_pmf",
+    "waterfill",
 ]

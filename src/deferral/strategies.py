@@ -9,10 +9,11 @@ The optimum has a two-threshold water-filling structure: the largest
 components of ``q`` are lowered to a common level ``theta_hi`` (that mass is
 stored), the smallest components are raised to a level ``theta_lo`` (that
 mass is forwarded), and intermediate components are untouched.
-:func:`solve_optimal` computes the thresholds in closed form by a sorted
-prefix-sum scan.  :func:`solve_numerical_oracle` solves the same program
-with a generic constrained optimizer that knows nothing about that
-structure, and exists to validate the closed form;
+:func:`waterfill` is the one computation of both thresholds, a sorted
+prefix-sum scan batched over profiles and rates; :func:`solve_optimal` is
+its one-profile, one-rate case.  :func:`solve_numerical_oracle` solves the
+same program with a generic constrained optimizer that knows nothing about
+that structure, and exists to validate the closed form;
 :func:`solve_grid_oracle` does the same by brute-force enumeration for
 small alphabets.
 
@@ -25,9 +26,10 @@ All solvers are pure functions of their inputs and thread-safe; points of a
 rate grid can be evaluated concurrently.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -66,6 +68,8 @@ class DeferralStrategy:
         True when ``requested_phi`` was clamped down to the critical rate.
     theta_hi, theta_lo : float or None
         Water-filling levels, populated by the solvers that know them.
+
+    Validated once, at construction, against ``q_ref``.
     """
 
     s: np.ndarray
@@ -76,6 +80,8 @@ class DeferralStrategy:
     clamped: bool = False
     theta_hi: Optional[float] = None
     theta_lo: Optional[float] = None
+    _t: np.ndarray = field(init=False, repr=False, compare=False)
+    _entropy_bits: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.s = _snap(self.s)
@@ -85,19 +91,27 @@ class DeferralStrategy:
         violation = feasibility_violation(self.q_ref.q, self.s, self.r, self.phi)
         if violation:
             raise ValueError(f"infeasible strategy: {violation}")
-        self.s.setflags(write=False)
-        self.r.setflags(write=False)
+        self._t = _apparent(self.q_ref.q, self.s, self.r)
+        for arr in (self.s, self.r, self._t):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.q_ref.n
 
     def apparent(self) -> np.ndarray:
-        """The apparent profile ``t = q - s + r``."""
-        return apparent_profile(self.q_ref, self)
+        """The apparent profile ``t = q - s + r``.
+
+        Computed once at construction and returned as the same read-only
+        array on every call; copy it before changing it.
+        """
+        return self._t
 
     def entropy_bits(self) -> float:
-        return entropy(self.apparent())
+        """Entropy of the apparent profile in bits, computed on first use."""
+        if self._entropy_bits is None:
+            self._entropy_bits = entropy(self._t)
+        return self._entropy_bits
 
     def to_dict(self) -> dict:
         return {
@@ -149,8 +163,12 @@ def apparent_profile(profile: ActivityProfile, strat: DeferralStrategy) -> np.nd
     violation = feasibility_violation(profile.q, strat.s, strat.r, strat.phi)
     if violation:
         raise ValueError(f"infeasible strategy: {violation}")
+    return _apparent(profile.q, strat.s, strat.r)
+
+
+def _apparent(q, s, r) -> np.ndarray:
     # Feasibility bounds any negative residue by ZERO_ATOL; clip it away.
-    return np.clip(profile.q - strat.s + strat.r, 0.0, None)
+    return np.clip(q - s + r, 0.0, None)
 
 
 def _check_phi(phi: float) -> float:
@@ -160,26 +178,29 @@ def _check_phi(phi: float) -> float:
     return phi
 
 
-def _upper_level(q: np.ndarray, phi: float) -> float:
-    """Level theta with sum(max(q - theta, 0)) == phi (cut from the top)."""
-    v = np.sort(q)[::-1]
-    csum = np.cumsum(v)
-    k = np.arange(1, q.size + 1)
-    theta = (csum - phi) / k
-    below = np.concatenate([v[1:], [-np.inf]])
-    valid = np.nonzero(theta >= below)[0]
-    return float(theta[valid[0]])
+def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Water-filling levels ``(theta_lo, theta_hi)`` of U profiles at K rates.
 
-
-def _lower_level(q: np.ndarray, phi: float) -> float:
-    """Level theta with sum(max(theta - q, 0)) == phi (fill from the bottom)."""
-    u = np.sort(q)
-    csum = np.cumsum(u)
-    k = np.arange(1, q.size + 1)
-    theta = (phi + csum) / k
-    above = np.concatenate([u[1:], [np.inf]])
-    valid = np.nonzero(theta <= above)[0]
-    return float(theta[valid[0]])
+    ``Q`` is U x n, one PMF per row, and ``phi`` U x K, each rate in
+    ``[0, critical rate of its row]`` (not validated).  Both levels are
+    U x K: ``sum(max(theta_lo - q, 0)) == sum(max(q - theta_hi, 0)) == phi``.
+    For ``v`` = a row sorted in descending order, the top level is
+    ``(cumsum(v)_k - phi) / k`` at the first k where it is ``>= v_{k+1}``;
+    the bottom level is minus the top level of ``-q``, exactly in floating
+    point, so one sort and one scan serve both.
+    """
+    u = np.sort(np.asarray(Q, dtype=float), axis=1)
+    phi = np.asarray(phi, dtype=float)
+    U, n = u.shape
+    v = np.concatenate([u[:, ::-1], -u])
+    k = np.arange(1, n + 1)
+    theta = (np.cumsum(v, axis=1)[:, None, :] - np.concatenate([phi, phi])[:, :, None]) / k
+    valid = np.empty(theta.shape, dtype=bool)
+    valid[:, :, -1] = True
+    np.greater_equal(theta[:, :, :-1], v[:, None, 1:], out=valid[:, :, :-1])
+    first = valid.argmax(axis=2)
+    level = theta.reshape(-1, n)[np.arange(first.size), first.ravel()].reshape(first.shape)
+    return -level[U:], level[:U]
 
 
 def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
@@ -197,30 +218,12 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     clamped = requested > phi_crit
     eff = min(requested, phi_crit)
     q = profile.q
-    if eff == 0.0:
-        return DeferralStrategy(
-            s=np.zeros(profile.n),
-            r=np.zeros(profile.n),
-            phi=0.0,
-            q_ref=profile,
-            requested_phi=requested,
-            clamped=clamped,
-            theta_hi=float(q.max()),
-            theta_lo=float(q.min()),
-        )
-    theta_hi = _upper_level(q, eff)
-    theta_lo = _lower_level(q, eff)
-    s = np.clip(q - theta_hi, 0.0, None)
-    r = np.clip(theta_lo - q, 0.0, None)
+    theta_lo, theta_hi = waterfill(q[None, :], np.array([[eff]]))
+    theta_lo, theta_hi = float(theta_lo[0, 0]), float(theta_hi[0, 0])
     return DeferralStrategy(
-        s=s,
-        r=r,
-        phi=eff,
-        q_ref=profile,
-        requested_phi=requested,
-        clamped=clamped,
-        theta_hi=theta_hi,
-        theta_lo=theta_lo,
+        s=np.clip(q - theta_hi, 0.0, None), r=np.clip(theta_lo - q, 0.0, None), phi=eff,
+        q_ref=profile, requested_phi=requested, clamped=clamped,
+        theta_hi=theta_hi, theta_lo=theta_lo,
     )
 
 
@@ -344,23 +347,14 @@ def _compositions(n: int, total: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-class _GridCache:
-    """Grid of candidate apparent profiles, shared across calls."""
-
-    def __init__(self):
-        self._grids = {}
-
-    def get(self, n: int, steps: int):
-        key = (n, steps)
-        if key not in self._grids:
-            grid = _compositions(n, steps) / float(steps)
-            logs = np.log2(np.where(grid > 0, grid, 1.0))
-            ent = -(grid * logs).sum(axis=1)
-            self._grids[key] = (grid, ent)
-        return self._grids[key]
-
-
-_grid_cache = _GridCache()
+@functools.lru_cache(maxsize=None)
+def _candidate_grid(n: int, steps: int):
+    """Candidate apparent profiles, their entropies and their first entries,
+    shared across calls; rows are sorted by first entry."""
+    grid = _compositions(n, steps) / float(steps)
+    logs = np.log2(np.where(grid > 0, grid, 1.0))
+    ent = -(grid * logs).sum(axis=1)
+    return grid, ent, grid[:, 0].copy()
 
 
 def solve_grid_oracle(
@@ -374,7 +368,9 @@ def solve_grid_oracle(
     reachable exactly when ``TV(t, q) <= phi``: moving mass ``TV(t, q)``
     realizes it, and any slack can be burned by storing and re-forwarding in
     the same slot.)  Intended for small alphabets; the grid has
-    ``C(1/step + n - 1, n - 1)`` points.
+    ``C(1/step + n - 1, n - 1)`` points, of which only the block with
+    ``|t_0 - q_0| <= phi`` is scanned: every reachable ``t`` has
+    ``|t_i - q_i| <= TV(t, q)``, so the scan stays exhaustive.
 
     Returns
     -------
@@ -387,7 +383,10 @@ def solve_grid_oracle(
     if n > 4:
         raise ValueError(f"grid oracle is only meant for n <= 4, got n = {n}")
     steps = round(1.0 / step)
-    grid, ent = _grid_cache.get(n, steps)
+    grid, ent, first = _candidate_grid(n, steps)
+    # A margin wider than the feasibility test's: rounding drops no point.
+    lo, hi = np.searchsorted(first, profile.q[0] + np.array([-1.0, 1.0]) * (eff + 1e-9))
+    grid, ent = grid[lo:hi], ent[lo:hi]
     tv = 0.5 * np.abs(grid - profile.q).sum(axis=1)
     feasible = tv <= eff + 1e-12
     if not feasible.any():
@@ -419,17 +418,18 @@ def privacy_deferral_curve(
     """Evaluate the optimal privacy level over a grid of deferral rates.
 
     The curve is nondecreasing and concave in ``phi`` and saturates at
-    ``log2(n)`` once ``phi`` reaches the critical rate.
+    ``log2(n)`` once ``phi`` reaches the critical rate.  Every rate is
+    checked before any is solved; then one :func:`waterfill` call solves
+    the grid, with the arithmetic of ``solve_optimal(profile, phi)``.
     """
-    points = []
-    for phi in phis:
-        strat = solve_optimal(profile, phi)
-        bits = strat.entropy_bits()
-        points.append(
-            PrivacyCurvePoint(
-                phi=float(phi),
-                entropy_bits=bits,
-                gain_pct=relative_privacy_gain(profile, bits),
-            )
-        )
-    return points
+    requested = [_check_phi(phi) for phi in phis]
+    if not requested:
+        return []
+    q = profile.q
+    theta_lo, theta_hi = waterfill(q[None, :], np.minimum([requested], critical_rate(profile)))
+    s = _snap(np.clip(q - theta_hi.T, 0.0, None))
+    r = _snap(np.clip(theta_lo.T - q, 0.0, None))
+    return [
+        PrivacyCurvePoint(phi, h, relative_privacy_gain(profile, h))
+        for phi, h in zip(requested, map(entropy, _apparent(q, s, r)))
+    ]

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deferral import strategies
 from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, entropy, uniform_pmf
 from deferral.strategies import (
     DeferralStrategy,
+    _candidate_grid,
     apparent_profile,
     feasibility_violation,
     privacy_deferral_curve,
@@ -11,6 +15,7 @@ from deferral.strategies import (
     solve_grid_oracle,
     solve_numerical_oracle,
     solve_optimal,
+    waterfill,
 )
 
 
@@ -261,3 +266,188 @@ class TestSaturationProperty:
             for phi in (pc, min(0.999, pc * 1.3)):
                 t = solve_optimal(prof, phi).apparent()
                 assert np.abs(t - 1 / 24).max() < 1e-9
+
+
+class TestValidateOnce:
+    def test_one_feasibility_check_per_strategy(self, monkeypatch):
+        calls = []
+        check = strategies.feasibility_violation
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(strategies, "feasibility_violation", counted)
+        strat = solve_optimal(random_profiles(24, 1, seed=3)[0], 0.2)
+        strat.apparent()
+        strat.entropy_bits()
+        strat.to_dict()
+        strat.entropy_bits()
+        assert len(calls) == 1
+
+    def test_apparent_is_cached_and_read_only(self):
+        prof = random_profiles(24, 1, seed=4)[0]
+        strat = solve_optimal(prof, 0.15)
+        t = strat.apparent()
+        assert t is strat.apparent()
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0.0
+        assert np.array_equal(t, np.clip(prof.q - strat.s + strat.r, 0.0, None))
+        assert strat.entropy_bits() == entropy(t)
+
+    def test_apparent_clips_residue_within_tolerance(self):
+        # s may exceed q by up to ZERO_ATOL, which leaves t slightly negative
+        prof = profile(THREE)
+        strat = DeferralStrategy(s=[0.5 + 5e-13, 0, 0], r=[0, 0.25, 0.25], phi=0.5, q_ref=prof)
+        assert prof.q[0] - strat.s[0] < 0.0
+        assert strat.apparent()[0] == 0.0
+        assert np.array_equal(strat.apparent(), apparent_profile(prof, strat))
+
+
+class TestCurveEdges:
+    def test_one_slot_profile_has_no_gain(self):
+        prof = profile([0.0, 1.0, 0.0, 0.0])
+        message = "^relative privacy gain undefined: profile has zero entropy$"
+        with pytest.raises(ValueError, match=message):
+            privacy_deferral_curve(prof, np.linspace(0.05, 0.7, 14))
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_invalid_rate_raises_before_any_solving(self, monkeypatch, bad):
+        def unexpected(*args):
+            raise AssertionError("solved before every rate was checked")
+
+        monkeypatch.setattr(strategies, "waterfill", unexpected)
+        message = rf"^deferral rate must lie in \[0, 1\), got {bad!r}$"
+        for prof in (profile(THREE), profile([0.0, 1.0, 0.0])):
+            with pytest.raises(ValueError, match=message):
+                privacy_deferral_curve(prof, [0.0, 0.1, 0.2, bad])
+
+    def test_empty_grid(self):
+        assert privacy_deferral_curve(profile(THREE), []) == []
+
+
+# -- scalar reference ---------------------------------------------------------
+# One-profile, one-rate scans that :func:`waterfill` is checked against.  The
+# arithmetic is the same, so the levels must match bit for bit.
+
+
+def ref_upper_level(q: np.ndarray, phi: float) -> float:
+    """Level theta with sum(max(q - theta, 0)) == phi (cut from the top)."""
+    v = np.sort(q)[::-1]
+    csum = np.cumsum(v)
+    k = np.arange(1, q.size + 1)
+    theta = (csum - phi) / k
+    below = np.concatenate([v[1:], [-np.inf]])
+    valid = np.nonzero(theta >= below)[0]
+    return float(theta[valid[0]])
+
+
+def ref_lower_level(q: np.ndarray, phi: float) -> float:
+    """Level theta with sum(max(theta - q, 0)) == phi (fill from the bottom)."""
+    u = np.sort(q)
+    csum = np.cumsum(u)
+    k = np.arange(1, q.size + 1)
+    theta = (phi + csum) / k
+    above = np.concatenate([u[1:], [np.inf]])
+    valid = np.nonzero(theta <= above)[0]
+    return float(theta[valid[0]])
+
+
+PROFILE_KINDS = ("one-slot", "two-slot", "uniform", "near-uniform", "tied", "dirichlet-0.05")
+
+
+def drawn_profile(kind, n, rng):
+    if kind == "one-slot":
+        q = np.zeros(n)
+        q[rng.integers(n)] = 1.0
+    elif kind == "two-slot":
+        q = np.zeros(n)
+        q[rng.choice(n, size=2, replace=False)] = rng.dirichlet([1.0, 1.0])
+    elif kind == "uniform":
+        q = uniform_pmf(n)
+    elif kind == "near-uniform":
+        q = uniform_pmf(n) * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, n))
+        q /= q.sum()
+    elif kind == "tied":
+        q = rng.dirichlet(np.ones(max(1, n // 3)))[rng.integers(max(1, n // 3), size=n)]
+        q /= q.sum()
+    else:
+        q = rng.dirichlet(np.full(n, 0.05))
+    return profile(q)
+
+
+def rate_grid(prof, rng):
+    """Zero, small, interior, exactly critical and beyond-critical rates."""
+    pc = critical_rate(prof)
+    return [0.0, min(1e-9, pc), float(rng.uniform(0.0, pc)), pc, min(0.999, pc + 0.1), 0.5]
+
+
+def assert_matches_reference(profs, rng):
+    grids = [rate_grid(prof, rng) for prof in profs]
+    eff = np.array([np.minimum(g, critical_rate(p)) for p, g in zip(profs, grids)])
+    theta_lo, theta_hi = waterfill(np.array([p.q for p in profs]), eff)
+    assert theta_lo.shape == theta_hi.shape == eff.shape
+    for u, prof in enumerate(profs):
+        for k, phi in enumerate(eff[u]):
+            assert theta_hi[u, k] == ref_upper_level(prof.q, phi)
+            assert theta_lo[u, k] == ref_lower_level(prof.q, phi)
+            assert np.signbit(theta_lo[u, k]) == np.signbit(ref_lower_level(prof.q, phi))
+        if entropy(prof.q) == 0.0:
+            continue  # no gain is defined; TestCurveEdges covers the error
+        assert curve_outcome(prof, grids[u]) == loop_outcome(prof, grids[u])
+
+
+def curve_outcome(prof, grid):
+    try:
+        return [(pt.phi, pt.entropy_bits, pt.gain_pct) for pt in privacy_deferral_curve(prof, grid)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def loop_outcome(prof, grid):
+    """The curve point by point, as ``solve_optimal`` gives it."""
+    try:
+        bits = [solve_optimal(prof, phi).entropy_bits() for phi in grid]
+    except ValueError as exc:
+        return str(exc)
+    return [(phi, h, relative_privacy_gain(prof, h)) for phi, h in zip(grid, bits)]
+
+
+class TestWaterfillKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(PROFILE_KINDS), min_size=1, max_size=4),
+        n=st.sampled_from([2, 3, 24, 168]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_reference(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference([drawn_profile(kind, n, rng) for kind in kinds], rng)
+
+    def test_minute_resolution(self):
+        rng = np.random.default_rng(1440)
+        assert_matches_reference([drawn_profile(kind, 1440, rng) for kind in PROFILE_KINDS], rng)
+
+    def test_solver_levels_are_the_kernel_levels(self):
+        prof = random_profiles(24, 1, seed=9)[0]
+        strat = solve_optimal(prof, 0.3)
+        theta_lo, theta_hi = waterfill(prof.q[None, :], [[strat.phi]])
+        assert (strat.theta_lo, strat.theta_hi) == (theta_lo[0, 0], theta_hi[0, 0])
+
+
+def test_grid_oracle_block_equals_full_scan():
+    # reference: the scan over every grid point that the block scan replaces
+    rng = np.random.default_rng(11)
+    grid, ent, _ = _candidate_grid(3, 100)
+    for _ in range(60):
+        prof = profile(rng.dirichlet(np.full(3, rng.choice([0.3, 1.0, 5.0]))))
+        phi = min(0.999, critical_rate(prof) * rng.choice([0.0, 0.05, rng.uniform(), 1.0, 1.5]))
+        feasible = 0.5 * np.abs(grid - prof.q).sum(axis=1) <= min(phi, critical_rate(prof)) + 1e-12
+        if not feasible.any():
+            with pytest.raises(RuntimeError, match="grid too coarse"):
+                solve_grid_oracle(prof, phi, step=1e-2)
+            continue
+        idx = int(np.argmax(np.where(feasible, ent, -np.inf)))
+        t, h = solve_grid_oracle(prof, phi, step=1e-2)
+        assert np.array_equal(t, grid[idx]) and h == ent[idx]
