@@ -21,7 +21,6 @@ from .profiles import (
 from .strategies import (
     DeferralStrategy,
     PrivacyCurvePoint,
-    apparent_profile,
     privacy_deferral_curve,
     relative_privacy_gain,
     solve_grid_oracle,
@@ -62,7 +61,6 @@ __all__ = [
     "SteadyStatePattern",
     "TimestampRecord",
     "analyze_buffer",
-    "apparent_profile",
     "build_profile",
     "capacity",
     "critical_rate",

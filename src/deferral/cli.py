@@ -48,10 +48,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_profile(path) -> ActivityProfile:
-    return ActivityProfile.load(path)
-
-
 def _cmd_profile_build(args) -> int:
     scheme = _PERIODS[args.period](args.slots)
     records, row_errors = read_records(
@@ -68,7 +64,7 @@ def _cmd_profile_build(args) -> int:
 
 
 def _cmd_strategy_solve(args) -> int:
-    profile = _load_profile(args.profile)
+    profile = ActivityProfile.load(args.profile)
     solver = solve_numerical_oracle if args.oracle else solve_optimal
     strat = solver(profile, args.phi)
     payload = strat.to_dict()
@@ -78,7 +74,7 @@ def _cmd_strategy_solve(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    profile = _load_profile(args.profile)
+    profile = ActivityProfile.load(args.profile)
     points = privacy_deferral_curve(profile, _parse_phi_grid(args.phi_grid))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -89,7 +85,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_buffer_analyze(args) -> int:
-    profile = _load_profile(args.profile)
+    profile = ActivityProfile.load(args.profile)
     strat = solve_optimal(profile, args.phi)
     pattern, cap, dist = analyze_buffer(strat, alpha=args.alpha)
     payload = pattern.to_dict()
@@ -102,7 +98,7 @@ def _cmd_buffer_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    profile = _load_profile(args.profile)
+    profile = ActivityProfile.load(args.profile)
     strat = solve_optimal(profile, args.phi)
     discipline = {"uniform": "uniform_random", "fifo": "fifo", "lifo": "lifo"}[
         args.discipline

@@ -35,8 +35,6 @@ from .strategies import relative_privacy_gain, solve_optimal
 
 def _parse_timestamp(raw) -> float:
     """Epoch seconds from an epoch number or an ISO-8601 string (UTC)."""
-    if isinstance(raw, (int, float)):
-        return float(raw)
     text = str(raw).strip()
     try:
         return float(text)
@@ -54,7 +52,9 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
     """Parse a timestamp log into records, skipping malformed rows.
 
     Returns ``(records, row_errors)`` where ``row_errors`` is a list of
-    ``(line_number, message)`` pairs for rows that could not be parsed.
+    ``(line_number, message)`` pairs for rows that could not be parsed:
+    a row whose ``user_id`` or ``timestamp_utc`` is missing, null or
+    empty, a JSONL line that is not a JSON object, or a bad timestamp.
     ``tz_offset`` (seconds) is added to every timestamp, shifting UTC
     instants into the users' local time of day.
     """
@@ -62,7 +62,11 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
     records: list[TimestampRecord] = []
     row_errors: list[tuple[int, str]] = []
 
-    def add(lineno, user_id, raw_ts):
+    def add(lineno, row):
+        user_id, raw_ts = row.get("user_id"), row.get("timestamp_utc")
+        if user_id in (None, "") or raw_ts in (None, ""):
+            row_errors.append((lineno, f"missing field in {row!r}"))
+            return
         try:
             ts = _parse_timestamp(raw_ts) + tz_offset
             records.append(TimestampRecord(user_id=str(user_id), timestamp=ts))
@@ -81,10 +85,7 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
                     f"got {reader.fieldnames}"
                 )
             for lineno, row in enumerate(reader, start=2):
-                if row.get("user_id") in (None, "") or row.get("timestamp_utc") in (None, ""):
-                    row_errors.append((lineno, f"missing field in {row!r}"))
-                    continue
-                add(lineno, row["user_id"], row["timestamp_utc"])
+                add(lineno, row)
     elif format == "jsonl":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -96,10 +97,10 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
                 except json.JSONDecodeError as exc:
                     row_errors.append((lineno, f"bad JSON: {exc}"))
                     continue
-                if "user_id" not in obj or "timestamp_utc" not in obj:
-                    row_errors.append((lineno, f"missing keys in {obj!r}"))
+                if not isinstance(obj, dict):
+                    row_errors.append((lineno, f"not a JSON object: {obj!r}"))
                     continue
-                add(lineno, obj["user_id"], obj["timestamp_utc"])
+                add(lineno, obj)
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
 
@@ -190,7 +191,6 @@ def nearest_rank_percentile(values, pct: float) -> float:
 class PopulationStudy:
     """Per-user and aggregate results of a population experiment."""
 
-    users: dict[str, ActivityProfile]
     user_ids: list[str]
     scheme: SlotScheme
     phi_grid: np.ndarray
@@ -279,22 +279,15 @@ def _write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
             )
 
 
-def study(
-    users: dict[str, ActivityProfile],
-    phi_grid,
-    alpha_policy: str = "own-count",
-) -> PopulationStudy:
+def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     """Run the per-user analyses and aggregate them.
 
     For each grid rate every user applies ``min(phi, own critical rate)``;
     delay and capacity are evaluated at each user's critical rate with
-    ``alpha`` set by ``alpha_policy`` (currently only "own-count": the
-    user's observed messages per period).
+    ``alpha`` the user's observed messages per period.
     """
     if not users:
         raise ValueError("population study needs at least one user")
-    if alpha_policy != "own-count":
-        raise ValueError(f"unknown alpha policy {alpha_policy!r}")
     phi_grid = np.asarray(list(phi_grid), dtype=float)
     if phi_grid.size == 0:
         raise ValueError("empty phi grid")
@@ -315,10 +308,12 @@ def study(
     for ui, user in enumerate(user_ids):
         prof = users[user]
         phi_crit[ui] = critical_rate(prof)
+        bits = np.zeros(phi_grid.size)
         for k, phi in enumerate(phi_grid):
             strat = solve_optimal(prof, float(phi))  # clamps at the critical rate
             t_at[k, ui] = strat.apparent()
-            gain_curves[ui, k] = relative_privacy_gain(prof, strat.entropy_bits())
+            bits[k] = strat.entropy_bits()
+        gain_curves[ui] = relative_privacy_gain(prof, bits)
         strat_crit = solve_optimal(prof, phi_crit[ui])
         pattern = steady_state(strat_crit, counts[ui])
         cap_msgs[ui] = buffer_capacity(pattern)
@@ -338,7 +333,6 @@ def study(
     }
 
     return PopulationStudy(
-        users=dict(users),
         user_ids=user_ids,
         scheme=scheme,
         phi_grid=phi_grid,

@@ -236,4 +236,4 @@ def critical_rate(profile: ActivityProfile) -> float:
     Equals the total variation distance between the uniform PMF and the
     actual profile; zero exactly when the profile is already uniform.
     """
-    return total_variation(uniform_pmf(profile.n), profile.q)
+    return float(0.5 * np.abs(1.0 / profile.n - profile.q).sum())

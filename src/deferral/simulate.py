@@ -21,7 +21,7 @@ Simulations are deterministic given the seed.  A single run is sequential;
 independent runs can execute concurrently, each with its own config.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +83,13 @@ class SimReport:
     peak_occupancy: int
     per_slot_posted: np.ndarray
     seed_echo: int
-    rng_algorithm: str = RNG_ALGORITHM
-    discipline: str = "uniform_random"
-    start_index: int = 1
-    measured_cycles: int = 0
-    mean_occupancy: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    occupancy_std: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    per_cycle_delayed: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
-    per_cycle_delay_sum: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    deficit_events: int = 0
-    leftover_messages: int = 0
+    rng_algorithm: str
+    discipline: str
+    start_index: int
+    measured_cycles: int
+    mean_occupancy: np.ndarray
+    per_cycle_delayed: np.ndarray
+    per_cycle_delay_sum: np.ndarray
 
     @property
     def delayed_fraction(self) -> float:
@@ -113,8 +110,6 @@ class SimReport:
             "discipline": self.discipline,
             "start_index": self.start_index,
             "measured_cycles": self.measured_cycles,
-            "deficit_events": self.deficit_events,
-            "leftover_messages": self.leftover_messages,
         }
 
 
@@ -136,10 +131,10 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     pattern = steady_state(strat, float(alpha))
     hazards = forwarding_hazards(pattern)  # raises for non-causal patterns
     start = pattern.start_index
-    orig_slot = [(start - 1 + j) % n for j in range(n)]  # 0-based original slots
+    orig_slot = (np.arange(n) + start - 1) % n  # 0-based original slots
     q_rot = profile.q[orig_slot]
     q_rot = q_rot / q_rot.sum()
-    s_rot = np.asarray(strat.s)[orig_slot]
+    s_rot = pattern.s_prime
     p_store = np.clip(s_rot / np.where(q_rot > 0, q_rot, 1.0), 0.0, 1.0)
     p_store[q_rot == 0] = 0.0
 
@@ -153,14 +148,12 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     delay_hist = np.zeros(n, dtype=np.int64)
     per_slot_posted = np.zeros(n, dtype=np.int64)
     occ_sum = np.zeros(n)
-    occ_sumsq = np.zeros(n)
     measured = cfg.cycles - cfg.warmup_cycles
     per_cycle_delayed = np.zeros(measured, dtype=np.int64)
     per_cycle_delay_sum = np.zeros(measured)
     peak = 0
     generated = 0
     posted_total = 0
-    deficit_events = 0
 
     for cycle in range(cfg.cycles):
         counting = cycle >= cfg.warmup_cycles
@@ -183,14 +176,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                     acc[j] = 0.0
                 else:
                     acc[j] += eligible * h
-                    take = int(acc[j])
-                    if take > eligible:
-                        deficit_events += 1
-                        take = eligible
+                    take = int(acc[j])  # <= eligible: acc[j] stays in [0, 1) between slots
                     acc[j] -= take
-            elif h > 0.0:
-                # forwarding slot found the buffer empty; flag the underrun
-                deficit_events += 1
 
             if take > 0:
                 counts_arr = np.asarray(buf_counts, dtype=np.int64)
@@ -226,7 +213,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                 posted_total += direct + take
                 level = sum(buf_counts)
                 occ_sum[j] += level
-                occ_sumsq[j] += level * level
                 if level > peak:
                     peak = level
 
@@ -241,12 +227,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     mean_cond = (
         float(per_cycle_delay_sum.sum() / delayed_count) if delayed_count else 0.0
     )
-    mean_occ = occ_sum / measured
-    var_occ = np.maximum(occ_sumsq / measured - mean_occ**2, 0.0)
-    # report occupancy by original slot label
-    unrotate = np.empty(n, dtype=int)
-    for j in range(n):
-        unrotate[orig_slot[j]] = j
+    mean_occ = np.empty(n)
+    mean_occ[orig_slot] = occ_sum / measured  # report by original slot label
 
     return SimReport(
         delay_histogram=delay_hist,
@@ -260,12 +242,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         discipline=cfg.discipline,
         start_index=start,
         measured_cycles=measured,
-        mean_occupancy=mean_occ[unrotate],
-        occupancy_std=np.sqrt(var_occ)[unrotate],
+        mean_occupancy=mean_occ,
         per_cycle_delayed=per_cycle_delayed,
         per_cycle_delay_sum=per_cycle_delay_sum,
-        deficit_events=deficit_events,
-        leftover_messages=int(leftover),
     )
 
 

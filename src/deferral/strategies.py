@@ -158,14 +158,6 @@ def feasibility_violation(q, s, r, phi) -> Optional[str]:
     return None
 
 
-def apparent_profile(profile: ActivityProfile, strat: DeferralStrategy) -> np.ndarray:
-    """Apparent profile ``t = q - s + r``; raises if the strategy is infeasible."""
-    violation = feasibility_violation(profile.q, strat.s, strat.r, strat.phi)
-    if violation:
-        raise ValueError(f"infeasible strategy: {violation}")
-    return _apparent(profile.q, strat.s, strat.r)
-
-
 def _apparent(q, s, r) -> np.ndarray:
     # Feasibility bounds any negative residue by ZERO_ATOL; clip it away.
     return np.clip(q - s + r, 0.0, None)
@@ -176,6 +168,20 @@ def _check_phi(phi: float) -> float:
     if not (0.0 <= phi < 1.0) or not math.isfinite(phi):
         raise ValueError(f"deferral rate must lie in [0, 1), got {phi!r}")
     return phi
+
+
+def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float, bool]:
+    """``(requested, effective, clamped)``: ``phi`` checked, then clamped to
+    the critical rate of ``profile``."""
+    requested = _check_phi(phi)
+    phi_crit = critical_rate(profile)
+    return requested, min(requested, phi_crit), requested > phi_crit
+
+
+def _strategy_arrays(q, theta_lo, theta_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Stored and forwarded fractions ``(s, r)`` at water-filling levels,
+    dust snapped; the levels broadcast against ``q``."""
+    return _snap(np.clip(q - theta_hi, 0.0, None)), _snap(np.clip(theta_lo - q, 0.0, None))
 
 
 def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -213,16 +219,13 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     The storing/forwarding supports are disjoint (``s[k] * r[k] == 0``) and
     the apparent profile is ``q`` clipped to ``[theta_lo, theta_hi]``.
     """
-    requested = _check_phi(phi)
-    phi_crit = critical_rate(profile)
-    clamped = requested > phi_crit
-    eff = min(requested, phi_crit)
+    requested, eff, clamped = _effective_rate(profile, phi)
     q = profile.q
     theta_lo, theta_hi = waterfill(q[None, :], np.array([[eff]]))
     theta_lo, theta_hi = float(theta_lo[0, 0]), float(theta_hi[0, 0])
+    s, r = _strategy_arrays(q, theta_lo, theta_hi)
     return DeferralStrategy(
-        s=np.clip(q - theta_hi, 0.0, None), r=np.clip(theta_lo - q, 0.0, None), phi=eff,
-        q_ref=profile, requested_phi=requested, clamped=clamped,
+        s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested, clamped=clamped,
         theta_hi=theta_hi, theta_lo=theta_lo,
     )
 
@@ -257,10 +260,7 @@ def solve_numerical_oracle(
         If the optimizer does not converge within ``maxiter`` iterations;
         the message carries the best entropy found.
     """
-    requested = _check_phi(phi)
-    phi_crit = critical_rate(profile)
-    clamped = requested > phi_crit
-    eff = min(requested, phi_crit)
+    requested, eff, clamped = _effective_rate(profile, phi)
     q = profile.q
     n = profile.n
     if eff == 0.0:
@@ -377,8 +377,7 @@ def solve_grid_oracle(
     (t, entropy_bits)
         The best grid point and its entropy.
     """
-    requested = _check_phi(phi)
-    eff = min(requested, critical_rate(profile))
+    _, eff, _ = _effective_rate(profile, phi)
     n = profile.n
     if n > 4:
         raise ValueError(f"grid oracle is only meant for n <= 4, got n = {n}")
@@ -395,8 +394,12 @@ def solve_grid_oracle(
     return grid[idx].copy(), float(ent[idx])
 
 
-def relative_privacy_gain(profile: ActivityProfile, entropy_bits: float) -> float:
-    """Relative privacy gain in percent, ``100 * (P - H(q)) / H(q)``."""
+def relative_privacy_gain(profile: ActivityProfile, entropy_bits):
+    """Relative privacy gain in percent, ``100 * (P - H(q)) / H(q)``.
+
+    ``entropy_bits`` may be a float or an array of privacy levels; the
+    result broadcasts with it, and ``H(q)`` is computed once per call.
+    """
     base = entropy(profile.q)
     if base == 0.0:
         raise ValueError("relative privacy gain undefined: profile has zero entropy")
@@ -427,9 +430,7 @@ def privacy_deferral_curve(
         return []
     q = profile.q
     theta_lo, theta_hi = waterfill(q[None, :], np.minimum([requested], critical_rate(profile)))
-    s = _snap(np.clip(q - theta_hi.T, 0.0, None))
-    r = _snap(np.clip(theta_lo.T - q, 0.0, None))
-    return [
-        PrivacyCurvePoint(phi, h, relative_privacy_gain(profile, h))
-        for phi, h in zip(requested, map(entropy, _apparent(q, s, r)))
-    ]
+    s, r = _strategy_arrays(q, theta_lo.T, theta_hi.T)
+    bits = [entropy(t) for t in _apparent(q, s, r)]
+    gains = relative_privacy_gain(profile, np.array(bits)).tolist()
+    return [PrivacyCurvePoint(*point) for point in zip(requested, bits, gains)]

@@ -130,12 +130,25 @@ class TestSimulate:
                 "--seed", "9", "--out", str(out)]
         assert main(args) == 0
         data = json.loads(out.read_text())
+        report_keys = {"delay_histogram", "delayed_count", "total_count", "delayed_fraction",
+                       "mean_conditional_delay", "peak_occupancy", "per_slot_posted",
+                       "mean_occupancy", "seed", "rng_algorithm", "discipline",
+                       "start_index", "measured_cycles"}
+        assert set(data) == report_keys
         assert data["seed"] == 9
         assert data["total_count"] == 48 * 5000
 
         out2 = tmp_path / "cmp.json"
         assert main(args[:-1] + [str(out2), "--compare"]) == 0
         cmp_data = json.loads(out2.read_text())
+        assert set(cmp_data) == {"analytic", "empirical", "peak_within_band", "flags", "report"}
+        assert set(cmp_data["analytic"]) == {
+            "expected_delay_unconditional_slots", "expected_delay_conditional_slots",
+            "capacity_messages", "delay_pmf"}
+        assert set(cmp_data["empirical"]) == {
+            "conditional_delay_slots", "conditional_delay_se", "delayed_fraction",
+            "delayed_fraction_se", "pattern_peak_messages", "peak_occupancy"}
+        assert set(cmp_data["report"]) == report_keys
         assert cmp_data["flags"] == []
         assert cmp_data["analytic"]["capacity_messages"] > 0
 

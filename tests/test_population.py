@@ -11,7 +11,7 @@ from deferral.population import (
     study,
     synth_population,
 )
-from deferral.profiles import ActivityProfile, SlotScheme, uniform_pmf
+from deferral.profiles import ActivityProfile, SlotScheme, TimestampRecord, uniform_pmf
 
 HOUR = 3600.0
 
@@ -49,9 +49,13 @@ class TestReadRecords:
             fh.write(json.dumps({"user_id": "u", "timestamp_utc": 120}) + "\n")
             fh.write("{broken\n")
             fh.write(json.dumps({"user_id": "u"}) + "\n")
+            for bad in ("5", "true", "null", "[1, 2]"):  # not an object
+                fh.write(bad + "\n")
+            for user, ts in ((None, 60), ("", 60), ("u", None), ("u", ""), ("u", True), ("u", False)):
+                fh.write(json.dumps({"user_id": user, "timestamp_utc": ts}) + "\n")
         records, errors = read_records(path, format="jsonl")
-        assert len(records) == 1
-        assert len(errors) == 2
+        assert records == [TimestampRecord("u", 120.0)]
+        assert [lineno for lineno, _ in errors] == list(range(2, 14))
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "log.csv"

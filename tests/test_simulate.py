@@ -81,8 +81,6 @@ class TestRunSimulation:
         assert np.array_equal(nonzero, [2])  # every delayed message waits 3 slots
         se = np.sqrt(0.1 * 0.9 / rep.total_count)
         assert abs(rep.delayed_fraction - 0.1) < 3 * se
-        assert rep.deficit_events == 0
-        assert rep.leftover_messages == 0
 
     def test_single_flow_peak_in_band(self):
         rep = run_simulation(single_flow_cfg(cycles=50, seed=3))
@@ -105,7 +103,6 @@ class TestRunSimulation:
     def test_posted_messages_conserved(self):
         rep = run_simulation(random_cfg(seed=5))
         assert rep.per_slot_posted.sum() == rep.total_count
-        assert rep.leftover_messages == 0
 
     def test_posted_profile_matches_apparent(self):
         cfg = random_cfg(seed=33, phi=0.1, cycles=120)
@@ -121,7 +118,7 @@ class TestRunSimulation:
         assert rep.delay_histogram.shape[0] == 24
         assert rep.delayed_count > 0
 
-    def test_apparent_profile_uniform_at_critical_rate(self):
+    def test_posted_profile_uniform_at_critical_rate(self):
         rng = np.random.default_rng(27)
         prof = ActivityProfile(SlotScheme.day(), rng.dirichlet(np.ones(24)), count=2000.0)
         strat = solve_optimal(prof, critical_rate(prof))

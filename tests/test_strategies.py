@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferral import strategies
+from deferral import profiles, strategies
 from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, entropy, uniform_pmf
 from deferral.strategies import (
     DeferralStrategy,
     _candidate_grid,
-    apparent_profile,
     feasibility_violation,
     privacy_deferral_curve,
     relative_privacy_gain,
@@ -76,25 +75,18 @@ class TestApparentProfile:
     def test_zero_strategy_is_identity(self):
         prof = profile(THREE)
         strat = solve_optimal(prof, 0.0)
-        assert np.array_equal(apparent_profile(prof, strat), prof.q)
+        assert np.array_equal(strat.apparent(), prof.q)
 
     def test_componentwise_arithmetic(self):
         prof = profile(THREE)
         strat = DeferralStrategy(s=[0.1, 0, 0], r=[0, 0, 0.1], phi=0.1, q_ref=prof)
-        assert np.allclose(apparent_profile(prof, strat), [0.4, 0.3, 0.3])
+        assert np.allclose(strat.apparent(), [0.4, 0.3, 0.3])
 
     def test_mass_conserved(self):
         for prof in random_profiles(8, 20, seed=5):
             phi = 0.5 * critical_rate(prof)
-            t = apparent_profile(prof, solve_optimal(prof, phi))
+            t = solve_optimal(prof, phi).apparent()
             assert t.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_reports_violated_constraint(self):
-        prof = profile(THREE)
-        strat = solve_optimal(prof, 0.1)
-        other = profile([0.05, 0.35, 0.6])
-        with pytest.raises(ValueError, match="exceeds q"):
-            apparent_profile(other, strat)
 
 
 class TestSolveOptimal:
@@ -285,6 +277,19 @@ class TestValidateOnce:
         strat.entropy_bits()
         assert len(calls) == 1
 
+    def test_one_entropy_per_rate_plus_one_per_profile(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return entropy(p)
+
+        for module in (profiles, strategies):
+            monkeypatch.setattr(module, "entropy", counted)
+        grid = np.linspace(0.05, 0.7, 14)
+        privacy_deferral_curve(random_profiles(24, 1, seed=3)[0], grid)
+        assert len(calls) == grid.size + 1
+
     def test_apparent_is_cached_and_read_only(self):
         prof = random_profiles(24, 1, seed=4)[0]
         strat = solve_optimal(prof, 0.15)
@@ -302,7 +307,6 @@ class TestValidateOnce:
         strat = DeferralStrategy(s=[0.5 + 5e-13, 0, 0], r=[0, 0.25, 0.25], phi=0.5, q_ref=prof)
         assert prof.q[0] - strat.s[0] < 0.0
         assert strat.apparent()[0] == 0.0
-        assert np.array_equal(strat.apparent(), apparent_profile(prof, strat))
 
 
 class TestCurveEdges:
