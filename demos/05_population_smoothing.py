@@ -44,8 +44,8 @@ for k, phi in enumerate(result.phi_grid):
     after = result.aggregate_after[k]
     print(f" {phi:5.2f}   {after.var():.3e}        {after.max() / after.min():8.2f}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="deferral_study_"))
-written = result.write_csvs(out_dir)
-print("\nCSV tables written to:")
-for path in written:
-    print(f"  {path}")
+with tempfile.TemporaryDirectory(prefix="deferral_study_") as out_dir:
+    written = result.write_csvs(Path(out_dir))
+    print("\nCSV tables written (and removed on exit):")
+    for path in written:
+        print(f"  {path.name}: {path.stat().st_size} bytes")

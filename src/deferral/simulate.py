@@ -16,6 +16,9 @@ probability the delay analysis assumes.
 Cycles are aligned to the steady-state starting index, so the buffer drains
 completely every cycle: cycles are statistically independent, no message
 waits more than one cycle, and statistics never straddle cycle boundaries.
+The buffer is therefore one count of held messages per arrival slot of the
+current cycle, and a cycle that ends with messages still held raises
+``AssertionError``.
 
 Simulations are deterministic given the seed.  A single run is sequential;
 independent runs can execute concurrently, each with its own config.
@@ -51,7 +54,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.alpha, (int, np.integer)) or self.alpha < 1:
+        for name in ("alpha", "cycles", "warmup_cycles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.alpha < 1:
             raise ValueError(f"alpha must be a positive integer, got {self.alpha!r}")
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles!r}")
@@ -139,11 +146,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     p_store[q_rot == 0] = 0.0
 
     rng = np.random.default_rng(cfg.seed)
-
-    # buffer: parallel lists of (unrolled arrival index, message count)
-    buf_arrivals: list[int] = []
-    buf_counts: list[int] = []
     acc = np.zeros(n)  # fractional forwarding residue per reordered slot
+    delays = np.arange(1, n + 1)
 
     delay_hist = np.zeros(n, dtype=np.int64)
     per_slot_posted = np.zeros(n, dtype=np.int64)
@@ -152,78 +156,60 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     per_cycle_delayed = np.zeros(measured, dtype=np.int64)
     per_cycle_delay_sum = np.zeros(measured)
     peak = 0
-    generated = 0
-    posted_total = 0
 
     for cycle in range(cfg.cycles):
-        counting = cycle >= cfg.warmup_cycles
-        mc = cycle - cfg.warmup_cycles
         arrivals = rng.multinomial(alpha, q_rot)
         stored = rng.binomial(arrivals, p_store)
-        if counting:
-            generated += alpha
+        # buffered messages by reordered arrival slot; slot j sees only held[:j]
+        held = stored.copy()
+        released = np.zeros(n, dtype=np.int64)
+        cycle_hist = np.zeros(n, dtype=np.int64)
+        level = 0
 
         for j in range(n):
-            cur = cycle * n + j
-            eligible = sum(buf_counts)
-
             # forwarding first: only earlier arrivals are eligible this slot
             h = hazards[j]
             take = 0
-            if h > 0.0 and eligible > 0:
+            if h > 0.0 and level > 0:
                 if h >= 1.0 - _DRAIN_ATOL:
-                    take = eligible
+                    take = level
                     acc[j] = 0.0
                 else:
-                    acc[j] += eligible * h
-                    take = int(acc[j])  # <= eligible: acc[j] stays in [0, 1) between slots
+                    acc[j] += level * h
+                    take = int(acc[j])  # <= level: acc[j] stays in [0, 1) between slots
                     acc[j] -= take
 
             if take > 0:
-                counts_arr = np.asarray(buf_counts, dtype=np.int64)
+                eligible = held[:j]  # oldest first
                 if cfg.discipline == "uniform_random":
-                    drawn = rng.multivariate_hypergeometric(counts_arr, take)
+                    groups = np.flatnonzero(eligible)
+                    drawn = np.zeros(j, dtype=np.int64)
+                    drawn[groups] = rng.multivariate_hypergeometric(eligible[groups], take)
                 elif cfg.discipline == "fifo":
-                    drawn = _take_in_order(counts_arr, take, oldest_first=True)
+                    drawn = np.diff(np.minimum(np.cumsum(eligible), take), prepend=0)
                 else:
-                    drawn = _take_in_order(counts_arr, take, oldest_first=False)
-                if counting:
-                    for g, k in enumerate(drawn):
-                        if k:
-                            delta = cur - buf_arrivals[g]
-                            if not 1 <= delta <= n:
-                                raise AssertionError(
-                                    f"internal error: observed delay {delta} outside 1..{n}"
-                                )
-                            delay_hist[delta - 1] += k
-                            per_cycle_delayed[mc] += k
-                            per_cycle_delay_sum[mc] += k * delta
-                new_counts = counts_arr - drawn
-                keep = new_counts > 0
-                buf_arrivals = [a for a, keepit in zip(buf_arrivals, keep) if keepit]
-                buf_counts = [int(c) for c in new_counts[keep]]
+                    newest = eligible[::-1]
+                    drawn = np.diff(np.minimum(np.cumsum(newest), take), prepend=0)[::-1]
+                eligible -= drawn
+                cycle_hist[:j] += drawn[::-1]  # stored at slot i, waited j - i slots
+                released[j] = take
+            level += int(stored[j]) - take
 
-            if stored[j] > 0:
-                buf_arrivals.append(cur)
-                buf_counts.append(int(stored[j]))
+        if level != 0:
+            raise AssertionError(
+                f"internal error: cycle {cycle} ended with {level} messages in the buffer"
+            )
+        if cycle >= cfg.warmup_cycles:
+            mc = cycle - cfg.warmup_cycles
+            delay_hist += cycle_hist
+            per_cycle_delayed[mc] = cycle_hist.sum()
+            per_cycle_delay_sum[mc] = cycle_hist @ delays
+            per_slot_posted[orig_slot] += arrivals - stored + released
+            occupancy = np.cumsum(stored - released)
+            occ_sum += occupancy
+            peak = max(peak, int(occupancy.max()))
 
-            direct = int(arrivals[j] - stored[j])
-            if counting:
-                per_slot_posted[orig_slot[j]] += direct + take
-                posted_total += direct + take
-                level = sum(buf_counts)
-                occ_sum[j] += level
-                if level > peak:
-                    peak = level
-
-    leftover = sum(buf_counts)
     delayed_count = int(delay_hist.sum())
-    if generated != posted_total or leftover != 0:
-        raise AssertionError(
-            f"message conservation violated: generated {generated}, "
-            f"posted {posted_total}, left in buffer {leftover}"
-        )
-
     mean_cond = (
         float(per_cycle_delay_sum.sum() / delayed_count) if delayed_count else 0.0
     )
@@ -233,9 +219,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     return SimReport(
         delay_histogram=delay_hist,
         delayed_count=delayed_count,
-        total_count=generated,
+        total_count=alpha * measured,
         mean_conditional_delay=mean_cond,
-        peak_occupancy=int(peak),
+        peak_occupancy=peak,
         per_slot_posted=per_slot_posted,
         seed_echo=cfg.seed,
         rng_algorithm=RNG_ALGORITHM,
@@ -246,19 +232,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         per_cycle_delayed=per_cycle_delayed,
         per_cycle_delay_sum=per_cycle_delay_sum,
     )
-
-
-def _take_in_order(counts: np.ndarray, take: int, oldest_first: bool) -> np.ndarray:
-    drawn = np.zeros_like(counts)
-    order = range(len(counts)) if oldest_first else range(len(counts) - 1, -1, -1)
-    remaining = take
-    for g in order:
-        k = min(int(counts[g]), remaining)
-        drawn[g] = k
-        remaining -= k
-        if remaining == 0:
-            break
-    return drawn
 
 
 @dataclass

@@ -17,7 +17,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes its tables to a temp dir
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))  # demo 05 writes its tables to a temp dir
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
@@ -25,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert not any(scratch.iterdir()), "the demo left files in the temp dir"
