@@ -5,16 +5,21 @@ governed by the recurrence ``b[j] = max(b[j-1] + s[j] - r[j], 0)`` over the
 cyclic net-flow tuple.  Because the stored and forwarded masses are equal
 over one cycle, there is always a slot at which the buffer empties; starting
 the cycle there, every forwarding event is fully covered and the occupancy
-pattern repeats identically every cycle.  From that pattern this module
-derives the buffer capacity (peak occupancy times traffic volume) and the
-exact delay distribution under uniformly-random extraction: a message stored
-at slot ``k`` leaves at slot ``j`` with probability ``r'[j] / b[j-1]`` after
-surviving every intermediate forwarding opportunity.
+pattern repeats identically every cycle; one O(n) pass of the recurrence
+from that slot gives it, and runs from every other slot settle onto it
+because the recurrence is monotone in its starting level.  From that pattern
+this module derives the buffer capacity (peak occupancy times traffic
+volume) and the exact delay distribution under uniformly-random extraction:
+a message stored at slot ``k`` leaves at slot ``j`` with probability
+``r'[j] / b[j-1]`` after surviving every intermediate forwarding
+opportunity.  The mean delay alone needs no distribution: by Little's law it
+is ``sum(b)`` slots over all messages, under any extraction discipline.
 
 All functions are pure; slot indices are 1-based and cyclic throughout.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -113,53 +118,36 @@ def find_starting_index(strat: DeferralStrategy) -> int:
     Computed as one past an index minimizing the prefix sums of the net flow
     ``s - r`` (wrapped modulo n): starting there, every prefix sum of the
     rotated net flow is nonnegative, so the occupancy recurrence never clamps
-    and returns to zero at the end of the cycle.
+    and returns to zero at the end of the cycle.  Every 0-based index within
+    ``CAUSALITY_ATOL`` of the minimum is a candidate; index ``n - 1`` wraps to
+    slot 1, the smallest possible, and any other index ``j`` gives ``j + 2``.
     """
     a = np.asarray(strat.s, dtype=float) - np.asarray(strat.r, dtype=float)
     w = np.cumsum(a)
-    minimum = w.min()
-    ties = np.nonzero(w <= minimum + CAUSALITY_ATOL)[0]
-    return int(min((j + 1) % a.shape[0] + 1 for j in ties))
-
-
-def _first_cycle(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the clamped recurrence over one cycle of ``a`` from all starts in
-    lockstep, lane ``i`` starting empty at slot ``i + 1``.  Returns lane 0's
-    occupancy over the cycle and every lane's final level."""
-    levels = np.zeros(a.shape[0])
-    first = np.empty(a.shape[0])
-    for t, at in enumerate(a):
-        levels[: t + 1] = np.maximum(levels[: t + 1] + at, 0.0)
-        first[t] = levels[0]
-    return first, levels
-
-
-def _check_all_starts(a: np.ndarray, b: np.ndarray, levels: np.ndarray, start: int) -> None:
-    """Advance the lanes of :func:`_first_cycle` one more cycle; each must
-    reproduce ``b`` within ``CAUSALITY_ATOL`` (``a`` is rotated to ``start``)."""
-    n = a.shape[0]
-    ok = np.ones(n, dtype=bool)
-    for p, ap in enumerate(a):
-        levels = np.maximum(levels + ap, 0.0)
-        ok &= np.abs(levels - b[p]) <= CAUSALITY_ATOL
-    if not ok.all():
-        j = int(((start - 1 + np.flatnonzero(~ok)) % n).min()) + 1
-        raise ValueError(
-            f"internal inconsistency: recurrence from slot {j} does not "
-            f"converge onto the steady pattern after {(start - j) % n or n} slots"
-        )
+    ties = np.flatnonzero(w <= w.min() + CAUSALITY_ATOL)
+    return 1 if ties[-1] == a.shape[0] - 1 else int(ties[0]) + 2
 
 
 def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
     """Build the repeating occupancy pattern for a feasible strategy.
 
-    Also verifies, on every call, that the recurrence started at every other
-    slot converges onto this pattern after one cycle, shifted by the offset
-    the starting-index construction predicts; a violation indicates an
-    internal inconsistency (a solver or feasibility bug) and raises.  The n
-    runs advance in lockstep, 2n numpy steps over an n-vector: about 0.2,
-    1.5 and 20 ms at n = 24, 168 and 1440 (see README).  Stored and forwarded
-    masses differing by more than ``CAUSALITY_ATOL`` cannot drain and raise.
+    ``b`` is one scalar pass of the clamped recurrence over the cycle rotated
+    to the starting index, from an empty buffer: O(n).  No other start needs
+    running, because ``L -> max(L + a, 0)`` is monotone in ``L`` (Lindley's
+    recursion).  A run that starts empty at any later slot starts at or
+    below the run from the starting index, whose level there is ``>= 0``, so
+    it stays at or below it to the end of the cycle, where that run is at
+    most ``CAUSALITY_ATOL`` above 0 (checked below).  From a level in
+    ``[0, CAUSALITY_ATOL]`` the recurrence is non-expansive, so every start
+    lands within ``CAUSALITY_ATOL`` of ``b`` from the next cycle on.  Rounded
+    ``+`` and ``max`` are monotone too, so the ordering holds in IEEE
+    arithmetic as well.  ``tests/test_buffer.py`` keeps the all-starts run
+    as the reference this is checked against.
+
+    Refuses a nonpositive ``alpha``, stored and forwarded masses differing by
+    more than ``CAUSALITY_ATOL`` (the buffer cannot drain), and, as internal
+    inconsistencies, a rotated prefix sum below ``-CAUSALITY_ATOL`` or an
+    occupancy that does not end within ``CAUSALITY_ATOL`` of 0.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -179,15 +167,13 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
             "internal inconsistency: negative prefix sum "
             f"{prefix.min()!r} from starting index {start}"
         )
-    b, levels = _first_cycle(a)
+    levels = accumulate(a.tolist(), lambda level, x: max(level + x, 0.0), initial=0.0)
+    b = np.array(list(levels)[1:])
     if abs(b[-1]) > CAUSALITY_ATOL:
         raise ValueError(
             f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0"
         )
     b[-1] = 0.0
-    # Each lane matches b up to accumulated rounding (a few n ulps; ties at
-    # the minimum leave that much dust), hence the tolerance.
-    _check_all_starts(a, b, levels, start)
 
     for arr in (b, s_prime, r_prime):
         arr.setflags(write=False)

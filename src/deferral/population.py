@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .buffer import capacity as buffer_capacity
-from .buffer import delay_distribution, steady_state
+from .buffer import steady_state
 from .profiles import (
     ActivityProfile,
     SlotScheme,
@@ -284,7 +284,13 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
 
     For each grid rate every user applies ``min(phi, own critical rate)``;
     delay and capacity are evaluated at each user's critical rate with
-    ``alpha`` the user's observed messages per period.
+    ``alpha`` the user's observed messages per period.  The mean delay of
+    delayed messages comes from Little's law: a message that waits ``d``
+    slots is counted in ``d`` end-of-slot occupancies, so the mean delay
+    over all messages is ``sum(b)`` slots and over delayed ones
+    ``sum(b) / phi``, under any extraction discipline; no delay PMF is
+    built.  An already-uniform user (critical rate 0) delays nothing and
+    gets delay 0.
     """
     if not users:
         raise ValueError("population study needs at least one user")
@@ -317,7 +323,7 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
         strat_crit = solve_optimal(prof, phi_crit[ui])
         pattern = steady_state(strat_crit, counts[ui])
         cap_msgs[ui] = buffer_capacity(pattern)
-        delay_cond[ui] = delay_distribution(pattern).expected_conditional
+        delay_cond[ui] = pattern.b.sum() / phi_crit[ui] if phi_crit[ui] > 0 else 0.0
 
     weights = counts / counts.sum()
     aggregate_before = np.einsum(

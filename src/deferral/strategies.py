@@ -257,7 +257,7 @@ def solve_numerical_oracle(
     Raises
     ------
     RuntimeError
-        If the optimizer does not converge within ``maxiter`` iterations;
+        If the optimizer fails to converge within ``maxiter`` iterations;
         the message carries the best entropy found.
     """
     requested, eff, clamped = _effective_rate(profile, phi)

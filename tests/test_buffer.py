@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deferral.buffer import (
     CAUSALITY_ATOL,
     SteadyStatePattern,
-    _check_all_starts,
-    _first_cycle,
     analyze_buffer,
     capacity,
     delay_distribution,
@@ -100,11 +98,30 @@ class TestSteadyState:
             assert prefix.min() >= -1e-12
             assert pattern.b[-1] == 0.0
 
+    def test_clamps_a_dip_within_tolerance(self):
+        # net-flow prefix minima -0.1 at slot 1 and -0.1 - 5e-13 at slot 3
+        # tie within CAUSALITY_ATOL; the smallest start (slot 2) leaves a
+        # rotated prefix of -5e-13 at its second slot, which the recurrence
+        # clamps to an empty buffer
+        d = 5e-13
+        prof = profile([0.1, 0.5, 0.1, 0.3])
+        strat = DeferralStrategy(
+            s=[0, 0.3, 0, 0.1 + d], r=[0.1, 0, 0.3 + d, 0], phi=0.4 + d, q_ref=prof
+        )
+        pattern = steady_state(strat, 10.0)
+        assert pattern.start_index == 2
+        assert np.cumsum(pattern.s_prime - pattern.r_prime)[1] < 0
+        assert pattern.b[1] == 0.0
+        assert np.array_equal(pattern.b, ref_steady_state(strat, 10.0).b)
+
     def test_convergence_check_runs_for_random_strategies(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             strat = random_feasible_strategy(rng, n=10)
-            steady_state(strat, 100.0)  # raises on any internal inconsistency
+            pattern = steady_state(strat, 100.0)
+            # the reference reruns the recurrence from every start and
+            # raises unless each one settles onto the pattern
+            assert np.array_equal(pattern.b, ref_steady_state(strat, 100.0).b)
 
     def test_offset_formula_matches_heaviside_form(self):
         # the shift applied to a run from slot j is start - j + n*step(j - start),
@@ -241,9 +258,25 @@ def _ref_occupancy_from(a, start, steps):
     return out
 
 
+def ref_check_all_starts(a, start, b):
+    """Run the recurrence on the net flow ``a`` from every slot ``j``, empty;
+    each run must follow ``b`` within ``CAUSALITY_ATOL`` once it reaches
+    ``start``, one cycle long, or this raises."""
+    n = a.shape[0]
+    for j in range(1, n + 1):
+        offset = (start - j) % n or n
+        run = _ref_occupancy_from(a, j, offset + n)
+        if not np.allclose(run[offset:], b, rtol=0.0, atol=CAUSALITY_ATOL):
+            raise ValueError(
+                f"internal inconsistency: recurrence from slot {j} does not "
+                f"converge onto the steady pattern after {offset} slots"
+            )
+
+
 def ref_steady_state(strat, alpha):
     """Reference steady state: one scalar run per start, behind the same
-    entry checks as :func:`steady_state`."""
+    entry checks as :func:`steady_state`; raises if any start fails to
+    settle onto the pattern."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     stored, forwarded = float(np.sum(strat.s)), float(np.sum(strat.r))
@@ -268,14 +301,7 @@ def ref_steady_state(strat, alpha):
     if abs(b[-1]) > CAUSALITY_ATOL:
         raise ValueError(f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0")
     b[-1] = 0.0
-    for j in range(1, n + 1):
-        offset = (start - j) % n or n
-        run = _ref_occupancy_from(a, j, offset + n)
-        if not np.allclose(run[offset:], b, rtol=0.0, atol=CAUSALITY_ATOL):
-            raise ValueError(
-                f"internal inconsistency: recurrence from slot {j} does not "
-                f"converge onto the steady pattern after {offset} slots"
-            )
+    ref_check_all_starts(a, start, b)
     return SteadyStatePattern(
         start_index=start, b=b, s_prime=s_prime, r_prime=r_prime,
         alpha=float(alpha), phi=strat.phi, slot_duration=strat.q_ref.scheme.slot_duration,
@@ -376,6 +402,7 @@ class TestScalarReference:
         seed=st.integers(0, 2**32 - 1),
         fraction=st.floats(0.0, 1.0),
     )
+    @example(kind="solver", n=1440, seed=1440, fraction=0.6)
     def test_matches_scalar_reference(self, kind, n, seed, fraction):
         strat = drawn_strategy(kind, n, seed, fraction)
         got = outcome(steady_state, strat, 500.0)
@@ -398,8 +425,11 @@ class TestScalarReference:
             assert outcome(delay_distribution, pattern) == want
             return
         assert np.array_equal(got[1], want[1])
-        pmf = delay_distribution(pattern).pmf
-        assert np.abs(pmf - ref_delay_pmf(pattern)).max() <= 1e-15
+        dist = delay_distribution(pattern)
+        assert np.abs(dist.pmf - ref_delay_pmf(pattern)).max() <= 1e-15
+        # Little's law: a message delayed d slots is in d end-of-slot occupancies
+        mean = dist.expected_unconditional
+        assert abs(pattern.b.sum() - mean) <= 1e-12 * abs(mean) + 1e-15
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(n=st.sampled_from([2, 3, 24, 168]), seed=st.integers(0, 2**32 - 1))
@@ -434,20 +464,20 @@ class TestScalarReference:
         assert pattern.b[-1] == 0.0
         assert 1.0 <= dist.expected_conditional <= n
 
-    def test_lockstep_check_catches_a_perturbed_pattern(self):
-        # keeps the all-starts check from going silently dead: one slot of
-        # the pattern off by twice the tolerance must be reported
+    def test_all_starts_reference_catches_a_perturbed_pattern(self):
+        # keeps the reference's all-starts check from going silently dead:
+        # one slot of the pattern off by twice the tolerance must be reported
         prof = profile(np.random.default_rng(2).dirichlet(np.ones(24)))
-        pattern = steady_state(solve_optimal(prof, 0.2), 1.0)
-        a = pattern.s_prime - pattern.r_prime
-        b, levels = _first_cycle(a)
-        b[-1] = 0.0
-        _check_all_starts(a, b, levels, pattern.start_index)
+        strat = solve_optimal(prof, 0.2)
+        pattern = steady_state(strat, 1.0)
+        a = np.asarray(strat.s) - np.asarray(strat.r)
+        b = pattern.b.copy()
+        ref_check_all_starts(a, pattern.start_index, b)
         b[7] += 2e-12
         offset = (pattern.start_index - 1) % 24 or 24
         message = f"recurrence from slot 1 does not converge onto the steady pattern after {offset} "
         with pytest.raises(ValueError, match=message):
-            _check_all_starts(a, b, levels, pattern.start_index)
+            ref_check_all_starts(a, pattern.start_index, b)
 
 
 def test_unbalanced_strategy_is_refused():

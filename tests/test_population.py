@@ -11,7 +11,15 @@ from deferral.population import (
     study,
     synth_population,
 )
-from deferral.profiles import ActivityProfile, SlotScheme, TimestampRecord, uniform_pmf
+from deferral.buffer import delay_distribution, steady_state
+from deferral.profiles import (
+    ActivityProfile,
+    SlotScheme,
+    TimestampRecord,
+    critical_rate,
+    uniform_pmf,
+)
+from deferral.strategies import solve_optimal
 
 HOUR = 3600.0
 
@@ -183,6 +191,23 @@ class TestStudy:
         for pct in (10, 50, 90):
             assert np.allclose(result.gain_percentiles[pct], 0.0, atol=1e-9)
         assert np.allclose(result.aggregate_before, 1 / 24)
+        # critical rate 0: nothing is delayed, and the mean delay is no 0/0
+        assert np.array_equal(result.delay_conditional_slots, np.zeros(5))
+        assert np.array_equal(result.capacity_messages, np.zeros(5))
+
+    @pytest.mark.parametrize("slots", [24, 168])
+    def test_delays_match_delay_distribution(self, slots):
+        # study takes the mean delay from Little's law; the exact delay PMF
+        # must give the same mean
+        scheme = SlotScheme(slots, slots * HOUR)
+        users = synth_population(20, scheme=scheme, seed=slots)
+        result = study(users, [0.1])
+        for ui, user in enumerate(result.user_ids):
+            prof = users[user]
+            strat = solve_optimal(prof, critical_rate(prof))
+            want = delay_distribution(steady_state(strat, prof.count)).expected_conditional
+            got = result.delay_conditional_slots[ui]
+            assert abs(got - want) <= 1e-12 * want
 
     def test_single_user_fixture(self):
         scheme = SlotScheme(3, 86400.0)

@@ -481,6 +481,7 @@ def assert_matches_reference(kind, n, seed, fraction, discipline, alpha, cycles,
         assert_reports_equal(got[1], want[1])
     else:
         assert got[1] == want[1]
+    return got
 
 
 class TestScalarReference:
@@ -492,7 +493,12 @@ class TestScalarReference:
     @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="lifo",
              alpha=10_000, cycles=4, warmup=1)
     def test_matches_scalar_reference(self, **config):
-        assert_matches_reference(**config)
+        status, report = assert_matches_reference(**config)
+        if status == "ok":
+            # Little's law: a message delayed d slots is in d end-of-slot occupancies
+            delay_total = report.per_cycle_delay_sum.sum()
+            occupancy_total = report.mean_occupancy.sum() * report.measured_cycles
+            assert abs(occupancy_total - delay_total) <= 1e-12 * delay_total
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**CONFIGS)
