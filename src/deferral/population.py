@@ -14,9 +14,11 @@ writes happen serially, so output files are never partially interleaved.
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from .profiles import (
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
-    build_profile,
     critical_rate,
 )
 from .strategies import relative_privacy_gain, solve_optimal
@@ -48,44 +49,41 @@ def _parse_timestamp(raw) -> float:
     return dt.timestamp()
 
 
-def read_records(path, format: str = "csv", tz_offset: float = 0.0):
-    """Parse a timestamp log into records, skipping malformed rows.
+def _check_tz_offset(tz_offset) -> None:
+    if not math.isfinite(tz_offset):
+        raise ValueError(f"tz_offset must be finite, got {tz_offset!r}")
 
-    Returns ``(records, row_errors)`` where ``row_errors`` is a list of
-    ``(line_number, message)`` pairs for rows that could not be parsed:
-    a row whose ``user_id`` or ``timestamp_utc`` is missing, null or
-    empty, a JSONL line that is not a JSON object, or a bad timestamp.
-    ``tz_offset`` (seconds) is added to every timestamp, shifting UTC
-    instants into the users' local time of day.
+
+def _log_rows(path: Path, format: str, row_errors: list):
+    """``(line, user_id, raw timestamp)`` of each log row that has both.
+
+    Other rows go to ``row_errors``.  Lines are physical and 1-based; a CSV
+    row is named by its first line, whatever blank lines or quoted newlines
+    precede it.  Fields are those ``csv.DictReader`` gives.
     """
-    path = Path(path)
-    records: list[TimestampRecord] = []
-    row_errors: list[tuple[int, str]] = []
-
-    def add(lineno, row):
-        user_id, raw_ts = row.get("user_id"), row.get("timestamp_utc")
-        if user_id in (None, "") or raw_ts in (None, ""):
-            row_errors.append((lineno, f"missing field in {row!r}"))
-            return
-        try:
-            ts = _parse_timestamp(raw_ts) + tz_offset
-            records.append(TimestampRecord(user_id=str(user_id), timestamp=ts))
-        except (ValueError, TypeError) as exc:
-            row_errors.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
-
     if format == "csv":
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {
-                "user_id",
-                "timestamp_utc",
-            } <= set(reader.fieldnames):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            column = {name: k for k, name in enumerate(header or ())}  # a repeated name: the last
+            if header is None or not {"user_id", "timestamp_utc"} <= column.keys():
                 raise ValueError(
-                    f"{path}: expected CSV header with user_id,timestamp_utc, "
-                    f"got {reader.fieldnames}"
+                    f"{path}: expected CSV header with user_id,timestamp_utc, got {header}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                add(lineno, row)
+            iu, it = column["user_id"], column["timestamp_utc"]
+            width = max(iu, it) + 1
+            last = reader.line_num
+            for row in reader:
+                if row:
+                    if len(row) >= width and row[iu] and row[it]:
+                        yield last + 1, row[iu], row[it]
+                    else:
+                        # the row as csv.DictReader gives it
+                        fields = {**dict(zip(header, row)), **dict.fromkeys(header[len(row):])}
+                        if len(row) > len(header):
+                            fields[None] = row[len(header):]
+                        row_errors.append((last + 1, f"missing field in {fields!r}"))
+                last = reader.line_num
     elif format == "jsonl":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -100,11 +98,77 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
                 if not isinstance(obj, dict):
                     row_errors.append((lineno, f"not a JSON object: {obj!r}"))
                     continue
-                add(lineno, obj)
+                user, raw_ts = obj.get("user_id"), obj.get("timestamp_utc")
+                if user in (None, "") or raw_ts in (None, ""):
+                    row_errors.append((lineno, f"missing field in {obj!r}"))
+                else:
+                    yield lineno, str(user), raw_ts
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
 
+
+def read_records(path, format: str = "csv", tz_offset: float = 0.0):
+    """Parse a timestamp log into records, skipping malformed rows.
+
+    Returns ``(records, row_errors)`` where ``row_errors`` is a list of
+    ``(line_number, message)`` pairs for rows that could not be parsed:
+    a row whose ``user_id`` or ``timestamp_utc`` is missing, null or
+    empty, a JSONL line that is not a JSON object, or a bad timestamp.
+    Line numbers are physical: a CSV row is named by its first line.
+    ``tz_offset`` (seconds, finite) is added to every timestamp, shifting
+    UTC instants into the users' local time of day.
+    """
+    _check_tz_offset(tz_offset)
+    records: list[TimestampRecord] = []
+    row_errors: list[tuple[int, str]] = []
+    for lineno, user_id, raw_ts in _log_rows(Path(path), format, row_errors):
+        try:
+            ts = _parse_timestamp(raw_ts) + tz_offset
+            records.append(TimestampRecord(user_id=user_id, timestamp=ts))
+        except (ValueError, TypeError) as exc:
+            row_errors.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
     return records, row_errors
+
+
+#: Rows parsed and binned per block by ``ingest``.
+_CHUNK_ROWS = 4096
+
+#: The one ISO-8601 form ``ingest`` parses in bulk; its length is also the
+#: widest field copied into the fixed-width array.
+_ISO_FORM = "0000-00-00T00:00:00Z"
+_ISO_CODES = np.array([ord(ch) for ch in _ISO_FORM])
+
+
+def _bulk_timestamps(raw) -> np.ndarray:
+    """Epoch seconds of the raw timestamps in a bulk form, NaN elsewhere.
+
+    The bulk forms are ASCII digit strings of at most 15 digits (exact in a
+    float) and ``YYYY-MM-DDTHH:MM:SSZ`` with a valid calendar date and time;
+    both get the value ``_parse_timestamp`` gives.
+    """
+    text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
+    length = np.fromiter(map(len, text), np.int64, len(text))
+    width = len(_ISO_FORM)  # longer fields are cut, but their length rules them out
+    codes = np.array(text, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
+    digit = (codes >= 48) & (codes <= 57)
+    value = np.where(digit, codes.astype(np.int64) - 48, 0)
+
+    def number(start, size):
+        return value[:, start : start + size] @ 10 ** np.arange(size - 1, -1, -1)
+
+    is_epoch = (digit == (np.arange(width) < length[:, None])).all(1)
+    is_epoch &= (length >= 1) & (length <= 15)
+    epoch = number(0, 15) // 10 ** np.clip(15 - length, 0, 15)
+
+    y, mo, d, h, mi, s = number(0, 4), *(number(a, 2) for a in (5, 8, 11, 14, 17))
+    # days from 1970-01-01 to the first of this month and of the next one
+    month = ((y - 1970) * 12 + mo - 1).astype("datetime64[M]")
+    first, after = (m.astype("datetime64[D]").astype(np.int64) for m in (month, month + 1))
+    is_iso = (length == width) & np.where(_ISO_CODES == 48, digit, codes == _ISO_CODES).all(1)
+    is_iso &= (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1) & (d <= after - first)
+    is_iso &= (h < 24) & (mi < 60) & (s < 60)
+    iso = (first + d - 1) * 86_400 + h * 3600 + mi * 60 + s
+    return np.where(is_epoch, epoch, np.where(is_iso, iso, np.nan))
 
 
 def ingest(
@@ -118,29 +182,53 @@ def ingest(
 
     Malformed rows are reported as warnings and skipped; users with fewer
     than ``min_count`` messages are excluded with a warning.  Raises if no
-    valid user remains.
+    valid user remains.  Reads and bins the log in blocks of rows; profiles,
+    warnings and errors are those of :func:`read_records` followed by
+    :func:`build_profile` per user.
     """
     if scheme is None:
         scheme = SlotScheme.day()
-    records, row_errors = read_records(path, format=format, tz_offset=tz_offset)
-    for lineno, message in row_errors:
+    _check_tz_offset(tz_offset)
+    n = scheme.n
+    index: dict[str, int] = {}
+    counts = np.zeros(0, np.int64)  # user-major, n slots per user
+    row_errors: list[tuple[int, str]] = []
+    rows = _log_rows(Path(path), format, row_errors)
+    while block := list(islice(rows, _CHUNK_ROWS)):
+        lines, users, raw = zip(*block)
+        ts = _bulk_timestamps(raw) + tz_offset
+        for j in np.flatnonzero(~(ts >= 0)):  # not a bulk form, or negative
+            try:
+                ts[j] = TimestampRecord(users[j], _parse_timestamp(raw[j]) + tz_offset).timestamp
+            except (ValueError, TypeError) as exc:
+                row_errors.append((lines[j], f"bad timestamp {raw[j]!r}: {exc}"))
+                ts[j] = np.nan
+        good = ts >= 0
+        rem = ts[good] % scheme.period_seconds  # the rule of SlotScheme.slot_of
+        slot = np.where(rem == 0.0, n, np.clip(np.ceil(rem / scheme.slot_duration), 1, n))
+        kept = list(compress(users, good))
+        for u in dict.fromkeys(kept):
+            index.setdefault(u, len(index))
+        user = np.fromiter(map(index.__getitem__, kept), np.int64, len(kept))
+        binned = np.bincount(user * n + slot.astype(np.int64) - 1)
+        if len(index) * n > counts.size:  # new users: zero-filled rows, no view of counts exists
+            counts.resize(len(index) * n, refcheck=False)
+        counts[: binned.size] += binned
+
+    for lineno, message in sorted(row_errors):  # bad timestamps come after a block's read errors
         warnings.warn(f"{path}:{lineno}: {message}", stacklevel=2)
-
-    by_user: dict[str, list[TimestampRecord]] = {}
-    for rec in records:
-        by_user.setdefault(rec.user_id, []).append(rec)
-
+    counts = counts.reshape(len(index), n)
     profiles: dict[str, ActivityProfile] = {}
-    for user_id in sorted(by_user):
-        recs = by_user[user_id]
-        if len(recs) < min_count:
+    for user_id in sorted(index):
+        row = counts[index[user_id]]
+        total = int(row.sum())
+        if total < min_count:
             warnings.warn(
-                f"excluding user {user_id!r}: {len(recs)} messages < "
-                f"min_count {min_count}",
+                f"excluding user {user_id!r}: {total} messages < min_count {min_count}",
                 stacklevel=2,
             )
             continue
-        profiles[user_id] = build_profile(recs, scheme)
+        profiles[user_id] = ActivityProfile(scheme=scheme, q=row / total, count=float(total))
     if not profiles:
         raise ValueError(f"{path}: no valid users after parsing and filtering")
     return profiles

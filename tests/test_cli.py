@@ -193,6 +193,21 @@ class TestPopulationStudy:
                      "--phi-grid", "0.1:0.5:3", "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "phicrit_hist.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command", [["population", "study", "--phi-grid", "0.1:0.5:3"], ["profile", "build"]]
+    )
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_non_finite_tz_offset_refused(self, tmp_path, capsys, command, offset):
+        log = write_log(tmp_path / "log.csv", [("a", 60), ("a", 7200)])
+        out = tmp_path / "out"
+        outputs = ["--out-dir", str(out)] if command[0] == "population" else ["--out", str(out)]
+        assert main(command + ["--input", log, "--tz-offset", offset] + outputs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": f"tz_offset must be finite, got {offset}", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
     def test_week_period(self, tmp_path):
         out_dir = tmp_path / "study"
         assert main(["population", "study", "--synth", "8", "--slots", "168",
@@ -214,6 +229,13 @@ class TestPopulationStudy:
 
 
 class TestEntryPoint:
+    def test_import_does_not_load_scipy(self):
+        # scipy takes about 0.5 s to import, and only the SLSQP oracle needs it
+        code = "import sys, deferral.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "deferral", "--help"],

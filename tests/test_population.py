@@ -1,10 +1,18 @@
 import csv
 import json
+import tracemalloc
+import warnings
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deferral import population
 from deferral.population import (
+    _parse_timestamp,
     ingest,
     nearest_rank_percentile,
     read_records,
@@ -16,6 +24,7 @@ from deferral.profiles import (
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
+    build_profile,
     critical_rate,
     uniform_pmf,
 )
@@ -118,6 +127,279 @@ class TestIngest:
         profiles = ingest(path)
         assert list(profiles) == ["a", "b"]  # sorted
         assert profiles["a"].count == 2
+
+    def test_rows_are_named_by_their_first_physical_line(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text('user_id,timestamp_utc\nu,60\n\n\nu,bogus\n"v\nw",oops\nu,-1\n"a,\nb",\n')
+        records, errors = read_records(path)
+        assert records == [TimestampRecord("u", 60.0)]
+        assert [line for line, _ in errors] == [5, 6, 8, 9]
+        with pytest.warns(UserWarning) as caught:
+            ingest(path)
+        where = [str(w.message).split(": ")[0] for w in caught]
+        assert where == [f"{path}:{k}" for k in (5, 6, 8, 9)]
+
+        path = tmp_path / "log.jsonl"
+        rows = ['{"user_id": "u", "timestamp_utc": 60}', '{"user_id": "u", "timestamp_utc": "x"}']
+        path.write_text(f"\n{rows[0]}\n\n  \n{rows[1]}\n")
+        assert [line for line, _ in read_records(path, format="jsonl")[1]] == [5]
+        with pytest.warns(UserWarning, match=r"log\.jsonl:5: bad timestamp 'x'"):
+            ingest(path, format="jsonl")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tz_offset_refused_once(self, tmp_path, bad):
+        path = write_csv(tmp_path / "log.csv", [("u", "60")] * 3)
+        for call in (read_records, ingest):
+            with pytest.raises(ValueError, match=rf"^tz_offset must be finite, got {bad!r}$"):
+                call(path, tz_offset=bad)
+
+    @pytest.mark.parametrize("fmt, size", [("csv", 100_000), ("jsonl", 1_000_000)])
+    def test_one_huge_field_costs_its_own_size(self, tmp_path, fmt, size):
+        # a CSV field must stay under the csv module's 131,072-character limit
+        path = tmp_path / f"log.{fmt}"
+        stamps = [str(60 * k) for k in range(20_000)]
+        stamps[12_345] = "9" * size + "x"
+        if fmt == "csv":
+            write_csv(path, ((f"u{k % 7}", ts) for k, ts in enumerate(stamps)))
+        else:
+            path.write_text("".join(
+                json.dumps({"user_id": f"u{k % 7}", "timestamp_utc": ts}) + "\n"
+                for k, ts in enumerate(stamps)
+            ))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                profiles = ingest(path, format=fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        line = 12_345 + (2 if fmt == "csv" else 1)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(f"{path}:{line}: bad timestamp '9999")
+        assert sum(p.count for p in profiles.values()) == 19_999
+        # measured 3.9 (csv) and 6.5 MB; one block of all rows: 13.5 and 14.2 MB
+        assert peak < 10e6
+
+
+def ref_ingest(path, format="csv", scheme=None, min_count=1, tz_offset=0.0):
+    """Scalar reference for ``ingest``: read_records, group, build_profile."""
+    if scheme is None:
+        scheme = SlotScheme.day()
+    records, row_errors = read_records(path, format=format, tz_offset=tz_offset)
+    for lineno, message in row_errors:
+        warnings.warn(f"{path}:{lineno}: {message}", stacklevel=2)
+    by_user = {}
+    for rec in records:
+        by_user.setdefault(rec.user_id, []).append(rec)
+    profiles = {}
+    for user_id in sorted(by_user):
+        recs = by_user[user_id]
+        if len(recs) < min_count:
+            warnings.warn(
+                f"excluding user {user_id!r}: {len(recs)} messages < min_count {min_count}",
+                stacklevel=2,
+            )
+            continue
+        profiles[user_id] = build_profile(recs, scheme)
+    if not profiles:
+        raise ValueError(f"{path}: no valid users after parsing and filtering")
+    return profiles
+
+
+def dictreader_records(path, tz_offset):
+    """Records and row-error messages of a CSV log read with csv.DictReader."""
+    records, messages = [], []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            user_id, raw_ts = row.get("user_id"), row.get("timestamp_utc")
+            if user_id in (None, "") or raw_ts in (None, ""):
+                messages.append(f"missing field in {row!r}")
+                continue
+            try:
+                records.append(TimestampRecord(user_id, _parse_timestamp(raw_ts) + tz_offset))
+            except (ValueError, TypeError) as exc:
+                messages.append(f"bad timestamp {raw_ts!r}: {exc}")
+    return records, messages
+
+
+def observed(call, *args, **kwargs):
+    """Result (or raised error) and the warnings of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - compared with the reference
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def assert_same(got, want):
+    """``observed`` outcomes agree: warnings, then error or profiles bit for bit."""
+    (result, caught), (ref, ref_caught) = got, want
+    assert caught == ref_caught
+    if isinstance(ref, tuple):
+        assert result == ref
+        return
+    assert list(result) == list(ref)
+    for user in ref:
+        assert result[user].q.tobytes() == ref[user].q.tobytes()
+        assert result[user].count == ref[user].count
+
+
+EPOCH = datetime(1970, 1, 1)
+SCHEMES = [SlotScheme.day(24), SlotScheme.week(7), SlotScheme(3, 86_400.0), SlotScheme.day(1440)]
+USERS = st.sampled_from(["a", "b", "c", "ü", "用户", "a,b", 'q"x', "two\nlines", " a", ""])
+
+
+EDGE_STAMPS = [
+    "2023-02-30T10:00:00Z", "2016-12-31T23:59:60Z", "2024-02-29T00:00:00Z",
+    "2023-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2000-02-29T12:00:00Z",
+    "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "2023-01-01T24:00:00Z",
+    "2023-01-01T23:60:00Z", "2023-13-01T00:00:00Z", "2023-00-10T00:00:00Z",
+    "2023-04-31T00:00:00Z", "2023-04-00T00:00:00Z", "2023-1-01T00:00:00Z",
+    "2023-01-01t00:00:00Z", "2023-01-01 00:00:00Z", "2023-01-01T00:00:00+00:00",
+    "2023-01-01T00:00:00.5Z", "2023-01-01T00:00:00Zjunk", "2023-01-01T00:00:00Z ",
+    "2023-01-01", "٣٦٠٠", "３６００", " 3600", "3600 ",
+    " 2023-01-01T00:00:00Z ", "-3600", "+3600", "3600.0", "3.6e3", "nan", "inf",
+    "1_000", "0", "999999999999999", "9999999999999999", "00000000000000000001",
+    "60\x00", "6\x000", "",
+]
+
+
+def iso(d, tail="Z"):
+    date = f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+    return f"{date}T{d.hour:02d}:{d.minute:02d}:{d.second:02d}{tail}"
+
+
+def stamps(scheme):
+    dates = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59))
+    slots = st.integers(0, 3 * 400 * scheme.n)
+    return st.one_of(
+        st.integers(0, 10**17).map(str),
+        slots.map(lambda k: str(int(k * scheme.slot_duration))),
+        slots.map(lambda k: repr(k * scheme.slot_duration)),
+        st.integers(0, 10**4).map(lambda k: str(int(k * scheme.period_seconds))),
+        st.floats(0, 4e9).map(repr),
+        st.floats(0, 4e9).map(lambda x: f"{x:e}"),
+        dates.map(iso),
+        dates.map(lambda d: iso(d.replace(minute=0, second=0))),
+        dates.map(lambda d: iso(d, "+05:30")),
+        dates.map(lambda d: iso(d, ".25Z")),
+        dates.map(lambda d: iso(d)[:10]),
+        st.sampled_from(EDGE_STAMPS),
+        st.text(max_size=25),
+    )
+
+
+@st.composite
+def csv_logs(draw, scheme):
+    header = draw(st.permutations(
+        ["user_id", "timestamp_utc"]
+        + draw(st.lists(st.sampled_from(["x", "user_id", "timestamp_utc"]), max_size=2))
+    ))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("\n")
+            continue
+        fields = {"user_id": USERS, "timestamp_utc": stamps(scheme), "x": st.just("x")}
+        row = [draw(fields[name]) for name in header]
+        shape = draw(st.sampled_from([0, 0, 0, 0, -1, -2, 1]))
+        row = row[: len(row) + shape] if shape < 0 else row + ["extra"] * shape
+        lines.append(row)
+    return header, lines
+
+
+@st.composite
+def jsonl_lines(draw, scheme):
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 12))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "{broken", "[1, 2]", "5", "null"])))
+            continue
+        obj = {}
+        if kind != 1:
+            obj["user_id"] = draw(st.one_of(USERS, st.none(), st.integers(-5, 5), st.booleans()))
+        if kind != 2:
+            obj["timestamp_utc"] = draw(st.one_of(
+                stamps(scheme), stamps(scheme), st.integers(-10, 10**17), st.floats(-10, 4e9),
+                st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+            ))
+        lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+    return lines
+
+
+class TestIngestMatchesScalarReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        scheme=st.sampled_from(SCHEMES),
+        min_count=st.integers(0, 4),
+        tz_offset=st.one_of(st.just(0.0), st.floats(-2e5, 2e5), st.sampled_from([3600.0, -0.5])),
+    )
+    def test_profiles_and_warnings_match(
+        self, tmp_path_factory, data, fmt, scheme, min_count, tz_offset
+    ):
+        path = tmp_path_factory.mktemp("log") / f"log.{fmt}"
+        if fmt == "csv":
+            header, lines = data.draw(csv_logs(scheme))
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for line in lines:
+                    fh.write(line) if line == "\n" else writer.writerow(line)
+            records, errors = read_records(path, tz_offset=tz_offset)
+            assert (records, [m for _, m in errors]) == dictreader_records(path, tz_offset)
+        else:
+            lines = data.draw(jsonl_lines(scheme))
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        kwargs = dict(format=fmt, scheme=scheme, min_count=min_count, tz_offset=tz_offset)
+        want = observed(ref_ingest, path, **kwargs)
+        for chunk in (1, 2, 7, population._CHUNK_ROWS):
+            with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+                assert_same(observed(ingest, path, **kwargs), want)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_edge_forms_and_boundaries(self, tmp_path, fmt, scheme):
+        n = scheme.n
+        boundaries = [k * scheme.slot_duration for k in (0, 1, 2, n - 1, n, n + 1, 2 * n)]
+        stamps = EDGE_STAMPS + [
+            text
+            for t in boundaries + [k * scheme.period_seconds for k in (1, 10, 19675)]
+            for text in (str(int(t)), repr(t), iso(EPOCH + timedelta(seconds=t)))
+        ]
+        rows = [(f"u{k}", ts) for k, ts in enumerate(stamps)] + [("all", ts) for ts in stamps]
+        path = tmp_path / f"log.{fmt}"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerows([("user_id", "timestamp_utc"), *rows])
+            else:
+                for user, ts in rows:
+                    fh.write(json.dumps({"user_id": user, "timestamp_utc": ts}) + "\n")
+        # 1e11 s turns year 0 non-negative, so it must be refused as a date
+        for tz_offset in (0.0, -3600.0, 0.5, scheme.slot_duration, 1e11):
+            kwargs = dict(format=fmt, scheme=scheme, tz_offset=tz_offset)
+            want = observed(ref_ingest, path, **kwargs)
+            for chunk in (1, population._CHUNK_ROWS):
+                with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+                    assert_same(observed(ingest, path, **kwargs), want)
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+    def test_default_chunk_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        stamps = rng.integers(0, 10**10, rows).astype(str).astype(object)
+        stamps[rng.random(rows) < 0.3] = "2023-06-01T12:00:00Z"
+        stamps[rng.random(rows) < 0.01] = "bogus"
+        users = [f"u{k}" for k in rng.integers(0, 50, rows)]
+        path = write_csv(tmp_path / "log.csv", zip(users, stamps))
+        assert_same(observed(ingest, path, min_count=20), observed(ref_ingest, path, min_count=20))
 
 
 class TestSynthPopulation:
