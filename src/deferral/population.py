@@ -73,17 +73,26 @@ def _log_rows(path: Path, format: str, row_errors: list):
             iu, it = column["user_id"], column["timestamp_utc"]
             width = max(iu, it) + 1
             last = reader.line_num
-            for row in reader:
-                if row:
-                    if len(row) >= width and row[iu] and row[it]:
-                        yield last + 1, row[iu], row[it]
-                    else:
-                        # the row as csv.DictReader gives it
-                        fields = {**dict(zip(header, row)), **dict.fromkeys(header[len(row):])}
-                        if len(row) > len(header):
-                            fields[None] = row[len(header):]
-                        row_errors.append((last + 1, f"missing field in {fields!r}"))
-                last = reader.line_num
+            while True:
+                # csv.reader resumes at the next line after refusing a row,
+                # so the loop is re-entered rather than guarded per row
+                try:
+                    for row in reader:
+                        if row:
+                            if len(row) >= width and row[iu] and row[it]:
+                                yield last + 1, row[iu], row[it]
+                            else:
+                                # the row as csv.DictReader gives it
+                                fields = dict(zip(header, row))
+                                fields.update(dict.fromkeys(header[len(row):]))
+                                if len(row) > len(header):
+                                    fields[None] = row[len(header):]
+                                row_errors.append((last + 1, f"missing field in {fields!r}"))
+                        last = reader.line_num
+                    break
+                except csv.Error as exc:
+                    row_errors.append((last + 1, f"unreadable CSV row: {exc}"))
+                    last = reader.line_num
     elif format == "jsonl":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -113,7 +122,8 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
     Returns ``(records, row_errors)`` where ``row_errors`` is a list of
     ``(line_number, message)`` pairs for rows that could not be parsed:
     a row whose ``user_id`` or ``timestamp_utc`` is missing, null or
-    empty, a JSONL line that is not a JSON object, or a bad timestamp.
+    empty, a CSV row the ``csv`` module refuses (such as a field over its
+    size limit), a JSONL line that is not a JSON object, or a bad timestamp.
     Line numbers are physical: a CSV row is named by its first line.
     ``tz_offset`` (seconds, finite) is added to every timestamp, shifting
     UTC instants into the users' local time of day.

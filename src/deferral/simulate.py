@@ -20,6 +20,15 @@ The buffer is therefore one count of held messages per arrival slot of the
 current cycle, and a cycle that ends with messages still held raises
 ``AssertionError``.
 
+Random numbers: one ``multinomial`` (arrivals) and one ``binomial`` (storing)
+call per cycle, and one ``multivariate_hypergeometric`` call per
+``uniform_random`` partial release from two or more arrival slots.  Releases
+of the whole buffer or from one arrival slot are forced and draw nothing
+(numpy's draw would consume no random numbers there either).  As every cycle
+drains, a cycle's delay sum is ``sum_j j*released_j - sum_i i*stored_i`` and
+its delayed count ``sum(stored)``; the occupancy after a slot is the running
+buffer level, and mean occupancy and posted counts follow from run totals.
+
 Simulations are deterministic given the seed.  A single run is sequential;
 independent runs can execute concurrently, each with its own config.
 """
@@ -70,7 +79,8 @@ class SimConfig:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; pick one of {_DISCIPLINES}"
             )
-        if not np.allclose(self.profile.q, self.strategy.q_ref.q, atol=1e-12):
+        q, q_ref = self.profile.q, self.strategy.q_ref.q
+        if q.shape != q_ref.shape or not np.allclose(q, q_ref, atol=1e-12):
             raise ValueError("strategy was solved against a different profile")
 
 
@@ -120,8 +130,11 @@ class SimReport:
         }
 
 
-def run_simulation(cfg: SimConfig) -> SimReport:
-    """Simulate the storage and forwarding selectors for ``cfg.cycles`` cycles."""
+def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
+    """Simulate the storage and forwarding selectors for ``cfg.cycles`` cycles.
+
+    ``_pattern``, internal: the steady state of ``cfg`` if already computed.
+    """
     profile = cfg.profile
     strat = cfg.strategy
     n = profile.n
@@ -135,8 +148,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             "only defined for strategies with disjoint storing/forwarding support"
         )
 
-    pattern = steady_state(strat, float(alpha))
-    hazards = forwarding_hazards(pattern)  # raises for non-causal patterns
+    pattern = steady_state(strat, float(alpha)) if _pattern is None else _pattern
+    hazards = forwarding_hazards(pattern).tolist()  # raises for non-causal patterns
     start = pattern.start_index
     orig_slot = (np.arange(n) + start - 1) % n  # 0-based original slots
     q_rot = profile.q[orig_slot]
@@ -146,75 +159,90 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     p_store[q_rot == 0] = 0.0
 
     rng = np.random.default_rng(cfg.seed)
-    acc = np.zeros(n)  # fractional forwarding residue per reordered slot
-    delays = np.arange(1, n + 1)
+    acc = [0.0] * n  # fractional forwarding residue per reordered slot
 
-    delay_hist = np.zeros(n, dtype=np.int64)
-    per_slot_posted = np.zeros(n, dtype=np.int64)
-    occ_sum = np.zeros(n)
     measured = cfg.cycles - cfg.warmup_cycles
+    delay_hist = np.zeros(n, dtype=np.int64)
     per_cycle_delayed = np.zeros(measured, dtype=np.int64)
     per_cycle_delay_sum = np.zeros(measured)
+    # post-warmup totals per reordered slot
+    arrived = np.zeros(n, dtype=np.int64)
+    buffered = np.zeros(n, dtype=np.int64)
+    released = [0] * n
     peak = 0
 
     for cycle in range(cfg.cycles):
         arrivals = rng.multinomial(alpha, q_rot)
         stored = rng.binomial(arrivals, p_store)
+        counting = cycle >= cfg.warmup_cycles
+        hist = delay_hist if counting else np.zeros(n, dtype=np.int64)
+        stored_list = stored.tolist()
         # buffered messages by reordered arrival slot; slot j sees only held[:j]
         held = stored.copy()
-        released = np.zeros(n, dtype=np.int64)
-        cycle_hist = np.zeros(n, dtype=np.int64)
-        level = 0
+        level = top = delay_sum = 0
 
         for j in range(n):
             # forwarding first: only earlier arrivals are eligible this slot
             h = hazards[j]
-            take = 0
-            if h > 0.0 and level > 0:
+            if h > 0.0 and level:
                 if h >= 1.0 - _DRAIN_ATOL:
                     take = level
                     acc[j] = 0.0
                 else:
-                    acc[j] += level * h
-                    take = int(acc[j])  # <= level: acc[j] stays in [0, 1) between slots
-                    acc[j] -= take
-
-            if take > 0:
-                eligible = held[:j]  # oldest first
-                if cfg.discipline == "uniform_random":
-                    groups = np.flatnonzero(eligible)
-                    drawn = np.zeros(j, dtype=np.int64)
-                    drawn[groups] = rng.multivariate_hypergeometric(eligible[groups], take)
-                elif cfg.discipline == "fifo":
-                    drawn = np.diff(np.minimum(np.cumsum(eligible), take), prepend=0)
-                else:
-                    newest = eligible[::-1]
-                    drawn = np.diff(np.minimum(np.cumsum(newest), take), prepend=0)[::-1]
-                eligible -= drawn
-                cycle_hist[:j] += drawn[::-1]  # stored at slot i, waited j - i slots
-                released[j] = take
-            level += int(stored[j]) - take
+                    residue = acc[j] + level * h
+                    take = int(residue)  # <= level: the residue stays in [0, 1) between slots
+                    acc[j] = residue - take
+                if take:
+                    # a message stored at slot i and released now waited j - i slots
+                    if take == level:
+                        hist[:j] += held[j - 1 :: -1]
+                        held[:j] = 0
+                    else:
+                        groups = held[:j].nonzero()[0]  # oldest first
+                        if groups.size == 1:
+                            drawn = take
+                        elif cfg.discipline == "uniform_random":
+                            drawn = rng.multivariate_hypergeometric(held[groups], take)
+                        else:
+                            if cfg.discipline == "lifo":
+                                groups = groups[::-1]
+                            drawn = np.diff(np.minimum(np.cumsum(held[groups]), take), prepend=0)
+                        held[groups] -= drawn
+                        hist[j - 1 - groups] += drawn
+                    level -= take
+                    if counting:
+                        released[j] += take
+                    delay_sum += j * take
+            if stored_list[j]:
+                level += stored_list[j]
+                delay_sum -= j * stored_list[j]
+                if level > top:
+                    top = level
 
         if level != 0:
             raise AssertionError(
                 f"internal error: cycle {cycle} ended with {level} messages in the buffer"
             )
-        if cycle >= cfg.warmup_cycles:
+        if counting:
+            # the cycle drained: every stored message was released in it
             mc = cycle - cfg.warmup_cycles
-            delay_hist += cycle_hist
-            per_cycle_delayed[mc] = cycle_hist.sum()
-            per_cycle_delay_sum[mc] = cycle_hist @ delays
-            per_slot_posted[orig_slot] += arrivals - stored + released
-            occupancy = np.cumsum(stored - released)
-            occ_sum += occupancy
-            peak = max(peak, int(occupancy.max()))
+            per_cycle_delayed[mc] = sum(stored_list)
+            per_cycle_delay_sum[mc] = delay_sum
+            arrived += arrivals
+            buffered += stored
+            peak = max(peak, top)
+
+    net_stored = buffered - np.array(released, dtype=np.int64)  # per reordered slot
+    per_slot_posted = np.empty(n, dtype=np.int64)
+    per_slot_posted[orig_slot] = arrived - net_stored
 
     delayed_count = int(delay_hist.sum())
     mean_cond = (
         float(per_cycle_delay_sum.sum() / delayed_count) if delayed_count else 0.0
     )
     mean_occ = np.empty(n)
-    mean_occ[orig_slot] = occ_sum / measured  # report by original slot label
+    # the occupancy after a slot is what was stored minus what was released so far
+    mean_occ[orig_slot] = np.cumsum(net_stored) / measured  # by original slot label
 
     return SimReport(
         delay_histogram=delay_hist,
@@ -295,7 +323,7 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
     dist = delay_distribution(pattern)
     cap = pattern_capacity(pattern)
 
-    report = run_simulation(cfg)
+    report = run_simulation(cfg, _pattern=pattern)
     m = report.measured_cycles
 
     frac = report.delayed_fraction

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,13 @@ from deferral.cli import main
 from deferral.profiles import ActivityProfile, SlotScheme, uniform_pmf
 
 HOUR = 3600
+
+#: Environment of the ``python -m deferral`` subprocesses: this checkout's
+#: sources first, whether or not the package is installed.
+SRC_ENV = dict(os.environ)
+SRC_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def write_log(path, rows):
@@ -193,6 +202,30 @@ class TestPopulationStudy:
                      "--phi-grid", "0.1:0.5:3", "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "phicrit_hist.csv").exists()
 
+    def test_oversized_csv_field_is_one_warning(self, tmp_path, capsys):
+        def logs(name, users):
+            rows = [(u, h * HOUR + 60) for u in users for h in range(0, 24, 2)]
+            clean = write_log(tmp_path / f"{name}-clean.csv", rows)
+            rows.insert(5, ("a", "9" * 200_000))  # line 7: over the csv field size limit
+            log = write_log(tmp_path / f"{name}.csv", rows)
+            return clean, log, f"{log}:7: unreadable CSV row: field larger than field limit (131072)"
+
+        clean, log, message = logs("one", "a")
+        for src in (clean, log):
+            assert main(["profile", "build", "--input", src, "--out", src + ".json"]) == 0
+        warned = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert warned == [{"warning": message}]
+        assert Path(log + ".json").read_bytes() == Path(clean + ".json").read_bytes()
+
+        clean, log, message = logs("two", "ab")
+        args = ["population", "study", "--phi-grid", "0.1:0.5:3", "--input"]
+        assert main([*args, clean, "--out-dir", clean + ".out"]) == 0
+        with pytest.warns(UserWarning) as caught:
+            assert main([*args, log, "--out-dir", log + ".out"]) == 0
+        assert [str(w.message) for w in caught] == [message]
+        for table in sorted(Path(clean + ".out").iterdir()):
+            assert (Path(log + ".out") / table.name).read_bytes() == table.read_bytes()
+
     @pytest.mark.parametrize(
         "command", [["population", "study", "--phi-grid", "0.1:0.5:3"], ["profile", "build"]]
     )
@@ -232,14 +265,16 @@ class TestEntryPoint:
     def test_import_does_not_load_scipy(self):
         # scipy takes about 0.5 s to import, and only the SLSQP oracle needs it
         code = "import sys, deferral.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
     def test_module_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "deferral", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert "profile" in proc.stdout
@@ -251,7 +286,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "deferral", "strategy", "solve",
              "--profile", prof_path, "--phi", "0.05", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["phi"] == 0.05

@@ -153,6 +153,29 @@ class TestIngest:
             with pytest.raises(ValueError, match=rf"^tz_offset must be finite, got {bad!r}$"):
                 call(path, tz_offset=bad)
 
+    def test_oversized_csv_field_is_one_row_error(self, tmp_path):
+        # 200,000 characters: over the csv module's 131,072-character field limit
+        rows = [(f"u{k % 3}", str(HOUR * k + 60)) for k in range(60)]
+        clean = write_csv(tmp_path / "clean.csv", rows)
+        path = tmp_path / "log.csv"
+        lines = clean.read_text().splitlines(keepends=True)
+        lines.insert(20, "bad," + "9" * 200_000 + "\n")  # physical line 21
+        path.write_text("".join(lines))
+        message = "unreadable CSV row: field larger than field limit (131072)"
+
+        records, errors = read_records(path)
+        assert errors == [(21, message)]
+        assert records == read_records(clean)[0]
+
+        with pytest.warns(UserWarning) as caught:
+            profiles = ingest(path)
+        assert [str(w.message) for w in caught] == [f"{path}:21: {message}"]
+        want = ingest(clean)
+        assert list(profiles) == list(want)
+        for user, prof in want.items():
+            assert np.array_equal(profiles[user].q, prof.q)
+            assert profiles[user].count == prof.count
+
     @pytest.mark.parametrize("fmt, size", [("csv", 100_000), ("jsonl", 1_000_000)])
     def test_one_huge_field_costs_its_own_size(self, tmp_path, fmt, size):
         # a CSV field must stay under the csv module's 131,072-character limit

@@ -80,6 +80,12 @@ class TestSimConfig:
         strat = solve_optimal(other, 0.05)
         with pytest.raises(ValueError, match="different profile"):
             SimConfig(profile=prof, strategy=strat, alpha=10, cycles=10)
+        # a strategy solved on another slot count
+        rng = np.random.default_rng(4)
+        day = profile(rng.dirichlet(np.ones(24)))
+        strat = solve_optimal(profile(rng.dirichlet(np.ones(12))), 0.05)
+        with pytest.raises(ValueError, match="different profile"):
+            SimConfig(profile=day, strategy=strat, alpha=10, cycles=10)
 
 
 class TestRunSimulation:
@@ -239,12 +245,42 @@ class TestEmpiricalVsAnalytic:
         with pytest.raises(ValueError, match="uniform_random"):
             empirical_vs_analytic(single_flow_cfg(discipline="fifo"))
 
+    def test_solves_the_steady_state_once(self):
+        with mock.patch.object(simulate, "steady_state", wraps=steady_state) as spy:
+            empirical_vs_analytic(random_cfg(seed=55, cycles=5))
+        assert spy.call_count == 1
+
     def test_matches_buffer_module(self):
         cfg = random_cfg(seed=55)
         rec = empirical_vs_analytic(cfg)
         pattern = steady_state(cfg.strategy, float(cfg.alpha))
         assert rec.analytic_capacity == capacity(pattern)
         assert rec.analytic_pmf.sum() == pytest.approx(cfg.strategy.phi, abs=1e-9)
+
+
+class TestRandomStream:
+    """``run_simulation`` makes no ``multivariate_hypergeometric`` call for a
+    release of the whole buffer or a release from one arrival slot: the draw
+    is forced there.  Seeded runs stay what they were only because numpy
+    consumes no random numbers for such draws; a numpy that does would change
+    every seeded simulation, and this test names the cause."""
+
+    @pytest.mark.parametrize(
+        "colors, take", [([3, 4, 5], 12), ([1, 2], 3), ([7], 7), ([7], 3), ([7], 1)]
+    )
+    def test_forced_draws_leave_the_generator_state(self, colors, take):
+        rng = np.random.default_rng(17)
+        rng.random()
+        before = rng.bit_generator.state
+        drawn = rng.multivariate_hypergeometric(np.array(colors, dtype=np.int64), take)
+        assert rng.bit_generator.state == before
+        assert drawn.tolist() == (colors if take == sum(colors) else [take])
+
+    def test_free_draws_advance_the_generator(self):
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        rng.multivariate_hypergeometric(np.array([3, 4, 5]), 6)
+        assert rng.bit_generator.state != before
 
 
 # -- scalar reference ---------------------------------------------------------
@@ -492,6 +528,21 @@ class TestScalarReference:
              alpha=10_000, cycles=4, warmup=1)
     @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="lifo",
              alpha=10_000, cycles=4, warmup=1)
+    # a handful of messages: partial hazards often release the whole buffer
+    # before the drain slot (11 of 20 releases here)
+    @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="uniform_random",
+             alpha=5, cycles=12, warmup=1)
+    @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="fifo",
+             alpha=5, cycles=12, warmup=1)
+    @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="lifo",
+             alpha=5, cycles=12, warmup=1)
+    # one storing slot: most releases are partial and from one group (44 of 56)
+    @example(kind="two-slot", n=24, seed=1, fraction=1.0, discipline="uniform_random",
+             alpha=5, cycles=12, warmup=1)
+    @example(kind="two-slot", n=24, seed=1, fraction=1.0, discipline="fifo",
+             alpha=5, cycles=12, warmup=1)
+    @example(kind="two-slot", n=24, seed=1, fraction=1.0, discipline="lifo",
+             alpha=5, cycles=12, warmup=1)
     def test_matches_scalar_reference(self, **config):
         status, report = assert_matches_reference(**config)
         if status == "ok":
