@@ -158,8 +158,8 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
             f"by {stored - forwarded!r}, more than {CAUSALITY_ATOL!r}; the buffer cannot drain"
         )
     start = find_starting_index(strat)
-    s_prime = np.roll(np.asarray(strat.s, dtype=float), 1 - start)
-    r_prime = np.roll(np.asarray(strat.r, dtype=float), 1 - start)
+    s_prime = np.concatenate((strat.s[start - 1:], strat.s[: start - 1]))
+    r_prime = np.concatenate((strat.r[start - 1:], strat.r[: start - 1]))
     a = s_prime - r_prime
     prefix = np.cumsum(a)
     if prefix.min() < -CAUSALITY_ATOL:

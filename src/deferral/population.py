@@ -64,12 +64,14 @@ def _log_rows(path: Path, format: str, row_errors: list):
     if format == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            expected = f"{path}: expected CSV header with user_id,timestamp_utc, got"
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:  # such as a field over csv.field_size_limit()
+                raise ValueError(f"{expected} an unreadable row: {exc}") from None
             column = {name: k for k, name in enumerate(header or ())}  # a repeated name: the last
             if header is None or not {"user_id", "timestamp_utc"} <= column.keys():
-                raise ValueError(
-                    f"{path}: expected CSV header with user_id,timestamp_utc, got {header}"
-                )
+                raise ValueError(f"{expected} {header}")
             iu, it = column["user_id"], column["timestamp_utc"]
             width = max(iu, it) + 1
             last = reader.line_num
@@ -359,7 +361,8 @@ def _write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
         lo = float(values.min())
     if hi is None:
         hi = float(values.max())
-    if hi <= lo:
+    edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram would use
+    if np.any(edges[:-1] >= edges[1:]):  # too narrow a range (or none) to split
         hi = lo + 1.0
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     total = counts.sum()

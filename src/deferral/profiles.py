@@ -151,6 +151,10 @@ def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"not a PMF: {name} must be a nonempty 1-d vector")
+    # Accept on two silent reductions, as in strategies.feasibility_violation.
+    with np.errstate(all="ignore"):
+        if abs(p.sum() - 1.0) <= PMF_ATOL and p.min() >= 0:
+            return p
     if not np.all(np.isfinite(p)):
         raise ValueError(f"not a PMF: {name} has non-finite entries")
     if np.any(p < 0):

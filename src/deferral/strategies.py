@@ -44,9 +44,8 @@ MASS_ATOL = 1e-9
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=float).copy()
-    out[np.abs(out) <= ZERO_ATOL] = 0.0
-    return out
+    values = np.asarray(values, dtype=float)
+    return np.where(np.abs(values) <= ZERO_ATOL, 0.0, values)
 
 
 @dataclass
@@ -69,7 +68,10 @@ class DeferralStrategy:
     theta_hi, theta_lo : float or None
         Water-filling levels, populated by the solvers that know them.
 
-    Validated once, at construction, against ``q_ref``.
+    Validated once, at construction, against ``q_ref``: a feasible pair is
+    accepted after a fixed set of six whole-array reductions (two sums, three
+    minima, one maximum); the ordered checks that name the first violated
+    constraint run only when one of those fails.
     """
 
     s: np.ndarray
@@ -135,6 +137,15 @@ def feasibility_violation(q, s, r, phi) -> Optional[str]:
     r = np.asarray(r, dtype=float)
     if s.shape != q.shape or r.shape != q.shape:
         return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+    # Accept: a sum is finite only if every entry is, and NaN fails every
+    # comparison.  Silent, so that only the ordered checks below warn.
+    with np.errstate(all="ignore"):
+        if q.size and (
+            abs(s.sum() - phi) <= MASS_ATOL and abs(r.sum() - phi) <= MASS_ATOL
+            and s.min() >= 0 and r.min() >= 0
+            and (s - q).max() <= ZERO_ATOL and (q - s + r).min() >= -ZERO_ATOL
+        ):
+            return None
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(r))):
         return "s or r has non-finite entries"
     if np.any(s < 0):
@@ -160,7 +171,7 @@ def feasibility_violation(q, s, r, phi) -> Optional[str]:
 
 def _apparent(q, s, r) -> np.ndarray:
     # Feasibility bounds any negative residue by ZERO_ATOL; clip it away.
-    return np.clip(q - s + r, 0.0, None)
+    return np.maximum(q - s + r, 0.0)
 
 
 def _check_phi(phi: float) -> float:
@@ -180,8 +191,8 @@ def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float,
 
 def _strategy_arrays(q, theta_lo, theta_hi) -> tuple[np.ndarray, np.ndarray]:
     """Stored and forwarded fractions ``(s, r)`` at water-filling levels,
-    dust snapped; the levels broadcast against ``q``."""
-    return _snap(np.clip(q - theta_hi, 0.0, None)), _snap(np.clip(theta_lo - q, 0.0, None))
+    not yet snapped; the levels broadcast against ``q``."""
+    return np.maximum(q - theta_hi, 0.0), np.maximum(theta_lo - q, 0.0)
 
 
 def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +234,7 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     q = profile.q
     theta_lo, theta_hi = waterfill(q[None, :], np.array([[eff]]))
     theta_lo, theta_hi = float(theta_lo[0, 0]), float(theta_hi[0, 0])
-    s, r = _strategy_arrays(q, theta_lo, theta_hi)
+    s, r = _strategy_arrays(q, theta_lo, theta_hi)  # the constructor snaps them
     return DeferralStrategy(
         s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested, clamped=clamped,
         theta_hi=theta_hi, theta_lo=theta_lo,
@@ -430,7 +441,7 @@ def privacy_deferral_curve(
         return []
     q = profile.q
     theta_lo, theta_hi = waterfill(q[None, :], np.minimum([requested], critical_rate(profile)))
-    s, r = _strategy_arrays(q, theta_lo.T, theta_hi.T)
+    s, r = map(_snap, _strategy_arrays(q, theta_lo.T, theta_hi.T))
     bits = [entropy(t) for t in _apparent(q, s, r)]
     gains = relative_privacy_gain(profile, np.array(bits)).tolist()
     return [PrivacyCurvePoint(*point) for point in zip(requested, bits, gains)]

@@ -65,6 +65,17 @@ class TestProfileBuild:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in err and "type" in err
 
+    def test_oversized_csv_header_field_is_a_bad_header(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("user_id," + "9" * 200_000 + ",timestamp_utc\na,60\n")
+        assert main(["profile", "build", "--input", str(log), "--out", str(tmp_path / "p.json")]) == 1
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [{
+            "error": f"{log}: expected CSV header with user_id,timestamp_utc, got an unreadable "
+                     "row: field larger than field limit (131072)",
+            "type": "ValueError",
+        }]
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestStrategySolve:
     def test_solve_at_zero(self, tmp_path):
@@ -240,6 +251,18 @@ class TestPopulationStudy:
             {"error": f"tz_offset must be finite, got {offset}", "type": "ValueError"}
         ]
         assert not out.exists()
+
+    def test_two_slot_delays_equal_to_the_last_bits(self, tmp_path):
+        # every conditional delay is half a day, give or take a few ulps
+        out_dir = tmp_path / "study"
+        assert main(["population", "study", "--synth", "20", "--slots", "2",
+                     "--phi-grid", "0.05:0.7:14", "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "delay_pmf.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16 and int(rows[0]["count"]) == 20
+        lo = float(rows[0]["delay_hours_bin_left"])
+        assert lo == pytest.approx(12.0, abs=1e-12)
+        assert float(rows[-1]["delay_hours_bin_right"]) == lo + 1.0
 
     def test_week_period(self, tmp_path):
         out_dir = tmp_path / "study"

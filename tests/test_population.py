@@ -80,6 +80,18 @@ class TestReadRecords:
         with pytest.raises(ValueError, match="user_id,timestamp_utc"):
             read_records(path)
 
+    def test_oversized_header_field_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("user_id," + "9" * 200_000 + ",timestamp_utc\nu,60\n")
+        message = (
+            f"{path}: expected CSV header with user_id,timestamp_utc, got an unreadable row: "
+            "field larger than field limit (131072)"
+        )
+        for call in (read_records, ingest):
+            with pytest.raises(ValueError) as caught:
+                call(path)
+            assert str(caught.value) == message
+
     def test_tz_offset_shifts_binning(self, tmp_path):
         path = write_csv(tmp_path / "log.csv", [("u", "0")])
         records, _ = read_records(path, tz_offset=HOUR)
@@ -599,3 +611,32 @@ class TestWriteCsvs:
         study(synth_population(10, seed=6), [0.1, 0.4]).write_csvs(dir_b)
         for name in ("phicrit_hist.csv", "gain_percentiles.csv", "aggregate_profiles.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+class TestWriteHist:
+    def read(self, path):
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        return [float(row[0]) for row in rows] + [float(rows[-1][1])], [int(row[2]) for row in rows]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, 7.5, 4.25, 12.0], [0.1, 0.1 + 1e-9], [12.0, 12.0 + 16 * 2.0**-49], [-5.0, 0.0]],
+    )
+    def test_splittable_range_keeps_numpy_edges(self, tmp_path, values):
+        population._write_hist(tmp_path / "h.csv", values, bins=16)
+        edges, counts = self.read(tmp_path / "h.csv")
+        want_counts, want_edges = np.histogram(values, bins=16, range=(min(values), max(values)))
+        assert edges == want_edges.tolist() and counts == want_counts.tolist()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[12.0, 12.0], [12.0 - 1.6e-14, 12.0, 12.0 + 5e-15], [12.0, np.nextafter(12.0, 13.0)], [0.0]],
+    )
+    def test_unsplittable_range_gets_unit_width(self, tmp_path, values):
+        # np.histogram refuses a range whose 17 edges do not all differ
+        population._write_hist(tmp_path / "h.csv", values, bins=16)
+        edges, counts = self.read(tmp_path / "h.csv")
+        lo = min(values)
+        assert edges == np.linspace(lo, lo + 1.0, 17).tolist()
+        assert counts == [len(values)] + [0] * 15

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from deferral import profiles, strategies
 from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, entropy, uniform_pmf
 from deferral.strategies import (
+    MASS_ATOL,
+    ZERO_ATOL,
     DeferralStrategy,
     _candidate_grid,
     feasibility_violation,
@@ -455,3 +459,204 @@ def test_grid_oracle_block_equals_full_scan():
         idx = int(np.argmax(np.where(feasible, ent, -np.inf)))
         t, h = solve_grid_oracle(prof, phi, step=1e-2)
         assert np.array_equal(t, grid[idx]) and h == ent[idx]
+
+
+# -- scalar reference: the ordered checks -------------------------------------
+# Validation as it ran before the fast accept, every check on every call.  The
+# fast accept must give the same verdict and the same message on any input.
+
+
+def ref_feasibility_violation(q, s, r, phi):
+    q = np.asarray(q, dtype=float)
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if s.shape != q.shape or r.shape != q.shape:
+        return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(r))):
+        return "s or r has non-finite entries"
+    if np.any(s < 0):
+        i = int(np.argmin(s))
+        return f"s[{i}] = {s[i]!r} is negative"
+    if np.any(r < 0):
+        i = int(np.argmin(r))
+        return f"r[{i}] = {r[i]!r} is negative"
+    if abs(s.sum() - phi) > MASS_ATOL:
+        return f"sum(s) = {s.sum()!r} differs from phi = {phi!r}"
+    if abs(r.sum() - phi) > MASS_ATOL:
+        return f"sum(r) = {r.sum()!r} differs from phi = {phi!r}"
+    over = s - q
+    if np.any(over > ZERO_ATOL):
+        i = int(np.argmax(over))
+        return f"s[{i}] = {s[i]!r} exceeds q[{i}] = {q[i]!r}"
+    t = q - s + r
+    if np.any(t < -ZERO_ATOL):
+        i = int(np.argmin(t))
+        return f"apparent profile is negative at slot {i}: {t[i]!r}"
+    return None
+
+
+def ref_validate_pmf(p, name="input"):
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"not a PMF: {name} must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"not a PMF: {name} has non-finite entries")
+    if np.any(p < 0):
+        raise ValueError(f"not a PMF: {name} has negative entries")
+    total = float(p.sum())
+    if abs(total - 1.0) > profiles.PMF_ATOL:
+        raise ValueError(f"not a PMF: {name} sums to {total!r}")
+    return p
+
+
+def ref_snap(values):
+    out = np.asarray(values, dtype=float).copy()
+    out[np.abs(out) <= ZERO_ATOL] = 0.0
+    return out
+
+
+def ref_strategy(prof, s, r, phi):
+    """``(s, r, t)`` as the constructor built them, or its error text."""
+    s, r = ref_snap(s), ref_snap(r)
+    violation = ref_feasibility_violation(prof.q, s, r, phi)
+    if violation:
+        return f"infeasible strategy: {violation}"
+    return s, r, np.clip(prof.q - s + r, 0.0, None)
+
+
+def outcome(f, *args, **kwargs):
+    """``(result or error text, warning texts)`` of a call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = f(*args, **kwargs)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def assert_same_pmf_outcome(p):
+    (got, got_warned), (want, warned) = outcome(profiles._validate_pmf, p), outcome(ref_validate_pmf, p)
+    assert got_warned == warned
+    if isinstance(want, str):
+        assert got == want
+        assert outcome(entropy, p) == (want, warned)
+    else:
+        assert_same_bits(got, want)
+
+
+PERTURBATIONS = (
+    "none", "nan", "+inf", "-inf", "negative", "mass-within", "mass-beyond",
+    "over-q-within", "over-q-beyond", "negative-q", "overflow",
+)
+
+
+def perturbed(kind, x, rng, atol):
+    """A copy of ``x`` with one fault of ``kind``; ``atol`` scales the mass
+    faults, just inside or just outside their tolerance."""
+    x = np.array(x, dtype=float)
+    i, j = rng.integers(x.size), rng.integers(x.size)
+    if kind == "nan":
+        x[i] = np.nan
+    elif kind in ("+inf", "-inf"):
+        x[i] = float(kind)
+    elif kind == "negative":
+        x[i] = -rng.choice([0.5 * ZERO_ATOL, 1e-9, 0.3])
+    elif kind.startswith("mass"):
+        scale = rng.choice([0.4, 0.9]) if kind.endswith("within") else rng.choice([1.5, 3.0])
+        x[i] += rng.choice([-1.0, 1.0]) * scale * atol
+    elif kind == "overflow":
+        x[i] = x[j] = 1e308  # finite entries, infinite sum when i != j
+    return x
+
+
+class TestFastAcceptMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(PROFILE_KINDS + ("dirichlet-1",)),
+        n=st.sampled_from([2, 3, 24, 168, 1440]),
+        fault=st.sampled_from(PERTURBATIONS),
+        target=st.sampled_from(["s", "r"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_verdict_message_and_bits(self, kind, n, fault, target, seed):
+        rng = np.random.default_rng(seed)
+        prof = drawn_profile(kind, n, rng) if kind != "dirichlet-1" else random_profiles(n, 1, seed)[0]
+        q = prof.q
+        phi = float(rng.choice(rate_grid(prof, rng)))
+        strat = solve_optimal(prof, phi)
+        eff = strat.phi
+
+        # solver output: the fast path, the snap and the clip change no bit
+        theta_lo, theta_hi = waterfill(q[None, :], [[eff]])
+        s = np.clip(q - theta_hi[0, 0], 0.0, None)
+        r = np.clip(theta_lo[0, 0] - q, 0.0, None)
+        want_s, want_r, want_t = ref_strategy(prof, s, r, eff)
+        for got, want in ((strat.s, want_s), (strat.r, want_r), (strat.apparent(), want_t)):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+        assert feasibility_violation(q, s, r, eff) == ref_feasibility_violation(q, s, r, eff)
+        assert outcome(strat.entropy_bits) == outcome(entropy, want_t)  # both may refuse t
+
+        # one fault in s, r or q: the same message from the ordered checks
+        if fault in ("over-q-within", "over-q-beyond"):
+            s = s.copy()
+            i = rng.integers(n)
+            s[i] = q[i] + rng.choice([0.4, 0.9] if fault.endswith("within") else [1.5, 1e3]) * ZERO_ATOL
+        elif fault == "negative-q":
+            q = perturbed("negative", q, rng, MASS_ATOL)
+        elif target == "s":
+            s = perturbed(fault, s, rng, MASS_ATOL)
+        else:
+            r = perturbed(fault, r, rng, MASS_ATOL)
+        args = (q, s, r, eff)
+        assert outcome(feasibility_violation, *args) == outcome(ref_feasibility_violation, *args)
+        (got, got_warned), (want, warned) = (
+            outcome(DeferralStrategy, s=s, r=r, phi=eff, q_ref=prof),
+            outcome(ref_strategy, prof, s, r, eff),
+        )
+        assert got_warned == warned
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for arr, ref in zip((got.s, got.r, got.apparent()), want):
+                assert_same_bits(arr, ref)
+                assert not arr.flags.writeable
+
+        # the apparent profile, and the same fault in it, as a PMF
+        t = want_t if fault == "negative-q" else perturbed(fault, want_t, rng, profiles.PMF_ATOL)
+        assert_same_pmf_outcome(t)
+
+    @pytest.mark.parametrize(
+        "q, s, r, phi",
+        [
+            ([], [], [], 0.0),
+            ([], [], [], 0.1),
+            (0.5, 0.1, 0.1, 0.1),
+            ([0.5, 0.5], [0.1, 0.0], [0.0, 0.1], float("nan")),
+            ([0.5, 0.5], [0.1, 0.0], [0.0, 0.1], float("inf")),
+            ([0.5, float("nan")], [0.1, 0.0], [0.0, 0.1], 0.1),
+            ([0.5, float("inf")], [0.1, 0.0], [0.0, 0.1], 0.1),
+            ([0.5, -float("inf")], [0.1, 0.0], [0.0, 0.1], 0.1),
+            ([0.5, 0.5], [float("inf"), -float("inf")], [0.0, 0.1], 0.1),
+            ([[0.5, 0.5]], [[0.1, 0.0]], [[0.0, 0.1]], 0.1),
+            ([[0.5, 0.5]], [[0.1, 0.0]], [[0.0, 0.2]], 0.1),
+        ],
+    )
+    def test_edge_inputs(self, q, s, r, phi):
+        args = (q, s, r, phi)
+        assert outcome(feasibility_violation, *args) == outcome(ref_feasibility_violation, *args)
+
+    @pytest.mark.parametrize(
+        "p",
+        [[], [[0.5, 0.5]], [1.0], [0.5, 0.5], [-0.0, 1.0], [1.0, -0.0], [2.0, -1.0],
+         [1e308, 1e308], [1e308, 1e308, -np.inf], [np.nan, 1.0], [np.inf, 0.0],
+         [0.5, 0.5 + 0.9e-9], [0.5, 0.5 + 1.1e-9]],
+    )
+    def test_edge_pmfs(self, p):
+        assert_same_pmf_outcome(p)
