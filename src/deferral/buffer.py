@@ -213,6 +213,7 @@ def forwarding_hazards(pattern: SteadyStatePattern) -> np.ndarray:
         )
     hazards = np.zeros(pattern.n)
     hazards[forwards] = np.minimum(r[forwards] / prev[forwards], 1.0)
+    hazards[forwards & (pattern.b == 0.0)] = 1.0  # drained, if only by steady_state's final snap
     return hazards
 
 

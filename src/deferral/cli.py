@@ -23,6 +23,7 @@ from .population import ingest, read_records, study, synth_population
 from .profiles import ActivityProfile, SlotScheme, build_profile
 from .simulate import SimConfig, empirical_vs_analytic, run_simulation
 from .strategies import (
+    _check_phi,
     privacy_deferral_curve,
     solve_numerical_oracle,
     solve_optimal,
@@ -39,6 +40,8 @@ def _parse_phi_grid(spec: str) -> np.ndarray:
         raise ValueError(f"bad phi grid {spec!r}; expected start:stop:steps") from exc
     if grid.size == 0:
         raise ValueError(f"bad phi grid {spec!r}: no points")
+    for phi in grid:
+        _check_phi(phi)
     return grid
 
 
@@ -122,6 +125,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_population_study(args) -> int:
     scheme = _PERIODS[args.period](args.slots)
+    phi_grid = _parse_phi_grid(args.phi_grid)  # refused before a long ingest
     if args.synth is not None:
         users = synth_population(
             args.synth,
@@ -138,7 +142,7 @@ def _cmd_population_study(args) -> int:
             min_count=args.min_count,
             tz_offset=args.tz_offset,
         )
-    result = study(users, _parse_phi_grid(args.phi_grid))
+    result = study(users, phi_grid)
     result.write_csvs(args.out_dir)
     return 0
 

@@ -16,9 +16,10 @@ import csv
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .profiles import (
     TimestampRecord,
     critical_rate,
 )
-from .strategies import relative_privacy_gain, solve_optimal
+from .strategies import _check_phi, relative_privacy_gain, solve_optimal
 
 
 def _parse_timestamp(raw) -> float:
@@ -54,49 +55,69 @@ def _check_tz_offset(tz_offset) -> None:
         raise ValueError(f"tz_offset must be finite, got {tz_offset!r}")
 
 
+def _csv_header(fh, path: Path):
+    """``(header, user_id column, timestamp_utc column, lines read)`` of a
+    CSV log open at its start.  ``csv.reader`` takes one line at a time, so
+    ``fh`` is left at the first line after the header."""
+    reader = csv.reader(fh)
+    expected = f"{path}: expected CSV header with user_id,timestamp_utc, got"
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{expected} an unreadable row: {exc}") from None
+    column = {name: k for k, name in enumerate(header or ())}  # a repeated name: the last
+    if header is None or not {"user_id", "timestamp_utc"} <= column.keys():
+        raise ValueError(f"{expected} {header}")
+    return header, column["user_id"], column["timestamp_utc"], reader.line_num
+
+
+def _missing(header, row) -> str:
+    """The row error of a CSV row without both fields, the row as
+    ``csv.DictReader`` gives it."""
+    fields = dict(zip(header, row))
+    fields.update(dict.fromkeys(header[len(row):]))
+    if len(row) > len(header):
+        fields[None] = row[len(header):]
+    return f"missing field in {fields!r}"
+
+
+def _csv_rows(lines, header, iu: int, it: int, base: int, row_errors: list):
+    """``(line, user_id, raw timestamp)`` of each row ``csv.reader`` reads
+    from ``lines``, the lines after line ``base`` of a CSV log, that has
+    both fields; other rows go to ``row_errors``."""
+    reader = csv.reader(lines)
+    width = max(iu, it) + 1
+    last = base
+    while True:
+        # csv.reader resumes at the next line after refusing a row,
+        # so the loop is re-entered rather than guarded per row
+        try:
+            for row in reader:
+                if row:
+                    if len(row) >= width and row[iu] and row[it]:
+                        yield last + 1, row[iu], row[it]
+                    else:
+                        row_errors.append((last + 1, _missing(header, row)))
+                last = base + reader.line_num
+            return
+        except csv.Error as exc:
+            row_errors.append((last + 1, f"unreadable CSV row: {exc}"))
+            last = base + reader.line_num
+
+
 def _log_rows(path: Path, format: str, row_errors: list):
     """``(line, user_id, raw timestamp)`` of each log row that has both.
 
     Other rows go to ``row_errors``.  Lines are physical and 1-based; a CSV
     row is named by its first line, whatever blank lines or quoted newlines
-    precede it.  Fields are those ``csv.DictReader`` gives.
+    precede it.  Fields are those ``csv.DictReader`` gives.  Logs are UTF-8,
+    a leading byte-order mark skipped.
     """
     if format == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            expected = f"{path}: expected CSV header with user_id,timestamp_utc, got"
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:  # such as a field over csv.field_size_limit()
-                raise ValueError(f"{expected} an unreadable row: {exc}") from None
-            column = {name: k for k, name in enumerate(header or ())}  # a repeated name: the last
-            if header is None or not {"user_id", "timestamp_utc"} <= column.keys():
-                raise ValueError(f"{expected} {header}")
-            iu, it = column["user_id"], column["timestamp_utc"]
-            width = max(iu, it) + 1
-            last = reader.line_num
-            while True:
-                # csv.reader resumes at the next line after refusing a row,
-                # so the loop is re-entered rather than guarded per row
-                try:
-                    for row in reader:
-                        if row:
-                            if len(row) >= width and row[iu] and row[it]:
-                                yield last + 1, row[iu], row[it]
-                            else:
-                                # the row as csv.DictReader gives it
-                                fields = dict(zip(header, row))
-                                fields.update(dict.fromkeys(header[len(row):]))
-                                if len(row) > len(header):
-                                    fields[None] = row[len(header):]
-                                row_errors.append((last + 1, f"missing field in {fields!r}"))
-                        last = reader.line_num
-                    break
-                except csv.Error as exc:
-                    row_errors.append((last + 1, f"unreadable CSV row: {exc}"))
-                    last = reader.line_num
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield from _csv_rows(fh, *_csv_header(fh, path), row_errors)
     elif format == "jsonl":
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -142,45 +163,143 @@ def read_records(path, format: str = "csv", tz_offset: float = 0.0):
     return records, row_errors
 
 
-#: Rows parsed and binned per block by ``ingest``.
+#: Lines (or JSONL rows) parsed and binned per block by ``ingest``.
 _CHUNK_ROWS = 4096
 
 #: The one ISO-8601 form ``ingest`` parses in bulk; its length is also the
-#: widest field copied into the fixed-width array.
+#: number of leading characters of each field that the parser sees.
 _ISO_FORM = "0000-00-00T00:00:00Z"
-_ISO_CODES = np.array([ord(ch) for ch in _ISO_FORM])
+_WIDTH = len(_ISO_FORM)
+_COLUMN = np.arange(_WIDTH)[:, None]
+_ISO_CODES = np.array([[ord(ch)] for ch in _ISO_FORM], np.uint32)
+_ISO_DIGIT = _ISO_CODES == ord("0")
 
 
-def _bulk_timestamps(raw) -> np.ndarray:
-    """Epoch seconds of the raw timestamps in a bulk form, NaN elsewhere.
+def _digit_weights(start: int, size: int) -> np.ndarray:
+    weights = np.zeros(_WIDTH)
+    weights[start : start + size] = [10**k for k in range(size - 1, -1, -1)]
+    return weights
 
-    The bulk forms are ASCII digit strings of at most 15 digits (exact in a
-    float) and ``YYYY-MM-DDTHH:MM:SSZ`` with a valid calendar date and time;
-    both get the value ``_parse_timestamp`` gives.
+
+#: Rows: the first 15 characters read as one number, then the year, month,
+#: day, hour, minute and second of the ISO form.
+_FIELD_WEIGHTS = np.array(
+    [_digit_weights(*part) for part in ((0, 15), (0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))]
+)
+_POW10 = np.array([float(10**k) for k in range(16)])  # exact
+#: Days in the year before the first of month 0 (unused) to 13.
+_MONTH_START = np.cumsum([0, 0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _bulk_timestamps(codes: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Epoch seconds of raw timestamps in a bulk form, NaN elsewhere.
+
+    Column ``j`` of ``codes`` (``_WIDTH`` rows of ``uint32``) holds the code
+    points of the first characters of field ``j``, which has ``length[j]``
+    characters, padded with ``"0"`` after its end.  The bulk forms are ASCII
+    digit strings of at most 15 digits (exact in a float) and
+    ``YYYY-MM-DDTHH:MM:SSZ`` with a valid calendar date and time; both get
+    the value ``_parse_timestamp`` gives.
     """
-    text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
-    length = np.fromiter(map(len, text), np.int64, len(text))
-    width = len(_ISO_FORM)  # longer fields are cut, but their length rules them out
-    codes = np.array(text, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
-    digit = (codes >= 48) & (codes <= 57)
-    value = np.where(digit, codes.astype(np.int64) - 48, 0)
+    offset = codes - np.uint32(ord("0"))  # wraps around below "0"
+    digit = offset < 10
+    # exact in floats where it is used: an integer below 2**53 from digits only
+    number, y, mo, d, h, mi, s = _FIELD_WEIGHTS @ offset.astype(np.float64)
 
-    def number(start, size):
-        return value[:, start : start + size] @ 10 ** np.arange(size - 1, -1, -1)
+    is_epoch = (length >= 1) & (length <= 15) & digit.all(0)
+    epoch = number / _POW10[np.clip(15 - length, 0, 15)]
 
-    is_epoch = (digit == (np.arange(width) < length[:, None])).all(1)
-    is_epoch &= (length >= 1) & (length <= 15)
-    epoch = number(0, 15) // 10 ** np.clip(15 - length, 0, 15)
-
-    y, mo, d, h, mi, s = number(0, 4), *(number(a, 2) for a in (5, 8, 11, 14, 17))
-    # days from 1970-01-01 to the first of this month and of the next one
-    month = ((y - 1970) * 12 + mo - 1).astype("datetime64[M]")
-    first, after = (m.astype("datetime64[D]").astype(np.int64) for m in (month, month + 1))
-    is_iso = (length == width) & np.where(_ISO_CODES == 48, digit, codes == _ISO_CODES).all(1)
-    is_iso &= (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1) & (d <= after - first)
+    is_iso = (length == _WIDTH) & np.where(_ISO_DIGIT, digit, codes == _ISO_CODES).all(0)
+    y, m = y.astype(np.int64), np.clip(mo, 0, 12).astype(np.int64)
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    first = _MONTH_START[m] + (leap & (m > 2))  # days of the year before the month's first
+    month_days = _MONTH_START[m + 1] - _MONTH_START[m] + (leap & (m == 2))
+    is_iso &= (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1) & (d <= month_days)
     is_iso &= (h < 24) & (mi < 60) & (s < 60)
-    iso = (first + d - 1) * 86_400 + h * 3600 + mi * 60 + s
+    # days from 0001-01-01 to 1970-01-01: 719,162
+    days = 365 * (y - 1) + (y - 1) // 4 - (y - 1) // 100 + (y - 1) // 400 - 719_162 + first
+    iso = (days + d - 1) * 86_400 + h * 3600 + mi * 60 + s
     return np.where(is_epoch, epoch, np.where(is_iso, iso, np.nan))
+
+
+def _string_blocks(rows):
+    """``(lines, user ids, raw timestamps, codes, lengths)`` of each block
+    of ``_CHUNK_ROWS`` rows from ``_log_rows``, the timestamps as
+    :func:`_bulk_timestamps` takes them."""
+    while block := list(islice(rows, _CHUNK_ROWS)):
+        lines, users, raw = zip(*block)
+        text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
+        length = np.fromiter(map(len, text), np.int64, len(text))
+        codes = np.array(text, dtype=f"U{_WIDTH}").view(np.uint32).reshape(-1, _WIDTH).T
+        yield lines, users, raw, np.where(_COLUMN < length, codes, ord("0")), length
+
+
+def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row_errors: list):
+    """The block of ``_string_blocks`` for the CSV lines ``base + 1`` to
+    ``base + count`` in ``text``, split whole; None unless every line is a
+    row of ``len(header)`` fields that ``csv.reader`` splits at its commas.
+
+    The caller has ruled out quotes and carriage returns.
+    """
+    if "\0" in text:  # refused by csv.reader before Python 3.11
+        return None
+    if not text.endswith("\n"):  # the last line of a log without a final newline
+        text += "\n"
+    width = len(header)
+    codes = np.frombuffer((text + "0").encode("utf-32-le"), np.uint32)  # ends in the padding
+    sep = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    if sep.size != count * width:
+        return None
+    ends = sep[width - 1 :: width]
+    if not (codes[ends] == ord("\n")).all():  # then some line has too few or too many commas
+        return None
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+
+    def field(k):  # (first character, length) of column k of every line
+        first = sep[k - 1 :: width] + 1 if k else np.concatenate(([0], ends[:-1] + 1))
+        return first, sep[k::width] - first
+
+    fields = text.replace("\n", ",").split(",")
+    users, raw = fields[iu:-1:width], fields[it:-1:width]
+    rows = range(base + 1, base + count + 1)
+    first, length = field(it)
+    missing = (field(iu)[1] == 0) | (length == 0)
+    if missing.any():
+        rows = list(rows)
+        for j in reversed(np.flatnonzero(missing).tolist()):
+            row_errors.append((rows[j], _missing(header, fields[j * width : (j + 1) * width])))
+            del rows[j], users[j], raw[j]
+        first, length = first[~missing], length[~missing]
+    return rows, users, raw, codes[np.where(_COLUMN < length, first + _COLUMN, -1)], length
+
+
+def _csv_blocks(path: Path, row_errors: list):
+    """The blocks of ``_string_blocks`` for a CSV log, read ``_CHUNK_ROWS``
+    lines at a time.
+
+    A block of lines without quotes, carriage returns or NULs, each with
+    the header's number of commas and no longer than the ``csv`` field
+    size limit, is split whole.  Other lines go through ``csv.reader``:
+    the block's own, which hold whole rows while there is no quote, and
+    from the first quote or carriage return on the rest of the log, as a
+    quoted field may span lines.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, iu, it, base = _csv_header(fh, path)
+        while chunk := list(islice(fh, _CHUNK_ROWS)):
+            text = "".join(chunk)
+            if '"' in text or "\r" in text:
+                yield from _string_blocks(
+                    _csv_rows(chain(chunk, fh), header, iu, it, base, row_errors)
+                )
+                return
+            block = _split_block(text, len(chunk), header, iu, it, base, row_errors)
+            if block is None:
+                yield from _string_blocks(_csv_rows(chunk, header, iu, it, base, row_errors))
+            else:
+                yield block
+            base += len(chunk)
 
 
 def ingest(
@@ -202,14 +321,17 @@ def ingest(
         scheme = SlotScheme.day()
     _check_tz_offset(tz_offset)
     n = scheme.n
-    index: dict[str, int] = {}
+    index: dict[str, int] = defaultdict()
+    index.default_factory = index.__len__  # a new user gets the next row
     counts = np.zeros(0, np.int64)  # user-major, n slots per user
     row_errors: list[tuple[int, str]] = []
-    rows = _log_rows(Path(path), format, row_errors)
-    while block := list(islice(rows, _CHUNK_ROWS)):
-        lines, users, raw = zip(*block)
-        ts = _bulk_timestamps(raw) + tz_offset
-        for j in np.flatnonzero(~(ts >= 0)):  # not a bulk form, or negative
+    if format == "csv":
+        blocks = _csv_blocks(Path(path), row_errors)
+    else:
+        blocks = _string_blocks(_log_rows(Path(path), format, row_errors))
+    for lines, users, raw, codes, length in blocks:
+        ts = _bulk_timestamps(codes, length) + tz_offset
+        for j in np.flatnonzero(~(ts >= 0)).tolist():  # not a bulk form, or negative
             try:
                 ts[j] = TimestampRecord(users[j], _parse_timestamp(raw[j]) + tz_offset).timestamp
             except (ValueError, TypeError) as exc:
@@ -218,9 +340,7 @@ def ingest(
         good = ts >= 0
         rem = ts[good] % scheme.period_seconds  # the rule of SlotScheme.slot_of
         slot = np.where(rem == 0.0, n, np.clip(np.ceil(rem / scheme.slot_duration), 1, n))
-        kept = list(compress(users, good))
-        for u in dict.fromkeys(kept):
-            index.setdefault(u, len(index))
+        kept = users if good.all() else list(compress(users, good.tolist()))
         user = np.fromiter(map(index.__getitem__, kept), np.int64, len(kept))
         binned = np.bincount(user * n + slot.astype(np.int64) - 1)
         if len(index) * n > counts.size:  # new users: zero-filled rows, no view of counts exists
@@ -395,7 +515,7 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     """
     if not users:
         raise ValueError("population study needs at least one user")
-    phi_grid = np.asarray(list(phi_grid), dtype=float)
+    phi_grid = np.array([_check_phi(phi) for phi in phi_grid])  # every rate before any user
     if phi_grid.size == 0:
         raise ValueError("empty phi grid")
 

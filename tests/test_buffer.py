@@ -321,7 +321,7 @@ def ref_forwarding_hazards(pattern):
                 f"non-causal pattern: forwarding {rj!r} at reordered slot {j} "
                 "with an empty buffer"
             )
-        hazards[j - 1] = min(rj / prev, 1.0)
+        hazards[j - 1] = 1.0 if pattern.b[j - 1] == 0.0 else min(rj / prev, 1.0)
     return hazards
 
 
@@ -403,6 +403,8 @@ class TestScalarReference:
         fraction=st.floats(0.0, 1.0),
     )
     @example(kind="solver", n=1440, seed=1440, fraction=0.6)
+    # sum(s) exceeds sum(r) by 2e-17, so the last level is snapped to 0
+    @example(kind="one-slot", n=168, seed=0, fraction=2.0**-24)
     def test_matches_scalar_reference(self, kind, n, seed, fraction):
         strat = drawn_strategy(kind, n, seed, fraction)
         got = outcome(steady_state, strat, 500.0)

@@ -1,9 +1,11 @@
+import codecs
 import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ SRC_ENV["PYTHONPATH"] = os.pathsep.join(
 
 
 def write_log(path, rows):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,timestamp_utc\n")
         for user, ts in rows:
             fh.write(f"{user},{ts}\n")
@@ -75,6 +77,19 @@ class TestProfileBuild:
             "type": "ValueError",
         }]
         assert not (tmp_path / "p.json").exists()
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # as Excel saves "CSV UTF-8"
+        log = write_log(tmp_path / "log.csv", [("ü", h * HOUR + 60) for h in (1, 5, 9, 13)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(log).read_bytes())
+        for src in (log, marked):
+            assert main(["profile", "build", "--input", str(src), "--out", f"{src}.json"]) == 0
+            assert main(["population", "study", "--input", str(src), "--phi-grid", "0.1:0.5:3",
+                         "--out-dir", f"{src}.out"]) == 0
+        assert Path(f"{marked}.json").read_bytes() == Path(f"{log}.json").read_bytes()
+        for table in sorted(Path(f"{log}.out").iterdir()):
+            assert (Path(f"{marked}.out") / table.name).read_bytes() == table.read_bytes()
 
 
 class TestStrategySolve:
@@ -249,6 +264,21 @@ class TestPopulationStudy:
         err = capsys.readouterr().err.strip().splitlines()
         assert [json.loads(line) for line in err] == [
             {"error": f"tz_offset must be finite, got {offset}", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [["--input", "absent.csv"], ["--synth", "5"]])
+    def test_bad_rate_refused_before_any_input_is_read(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        with mock.patch("deferral.cli.ingest") as ingest, \
+                mock.patch("deferral.cli.synth_population") as synth:
+            assert main(["population", "study", *source, "--phi-grid", "0:1:11",
+                         "--out-dir", str(out)]) == 1
+        ingest.assert_not_called()
+        synth.assert_not_called()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "deferral rate must lie in [0, 1), got 1.0", "type": "ValueError"}
         ]
         assert not out.exists()
 

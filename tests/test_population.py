@@ -1,7 +1,12 @@
+import codecs
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -34,7 +39,7 @@ HOUR = 3600.0
 
 
 def write_csv(path, rows):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,timestamp_utc\n")
         for user, ts in rows:
             fh.write(f"{user},{ts}\n")
@@ -96,6 +101,52 @@ class TestReadRecords:
         path = write_csv(tmp_path / "log.csv", [("u", "0")])
         records, _ = read_records(path, tz_offset=HOUR)
         assert records[0].timestamp == HOUR
+
+
+class TestEncoding:
+    ROWS = [("ü", "3600"), ("用户", "2023-06-01T12:00:00Z"), ("a", "bogus"), ("ü", "7200")]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, fmt):
+        plain = tmp_path / f"plain.{fmt}"
+        if fmt == "csv":
+            write_csv(plain, self.ROWS)
+        else:
+            plain.write_text("".join(
+                json.dumps({"user_id": u, "timestamp_utc": ts}) + "\n" for u, ts in self.ROWS
+            ), encoding="utf-8")
+        marked = tmp_path / f"marked.{fmt}"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        records, errors = read_records(marked, format=fmt)
+        assert (records, errors) == read_records(plain, format=fmt)
+        assert [r.user_id for r in records] == ["ü", "用户", "ü"]
+        assert [line for line, _ in errors] == [4 if fmt == "csv" else 3]
+        got, want = (observed(ingest, path, format=fmt) for path in (marked, plain))
+        assert_same((got[0], []), (want[0], []))
+        assert [w[1].split(":", 1)[1] for w in got[1]] == [w[1].split(":", 1)[1] for w in want[1]]
+
+    def test_logs_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # EncodingWarning marks every open() that would use the locale's encoding
+        path = write_csv(tmp_path / "log.csv", self.ROWS)
+        jsonl = tmp_path / "log.jsonl"
+        jsonl.write_text(json.dumps({"user_id": "ü", "timestamp_utc": 60}) + "\n", encoding="utf-8")
+        code = (
+            "import sys, warnings\n"
+            "from deferral.population import ingest, read_records\n"
+            "warnings.simplefilter('ignore', UserWarning)\n"
+            "for fmt, path in (('csv', sys.argv[1]), ('jsonl', sys.argv[2])):\n"
+            "    read_records(path, format=fmt)\n"
+            "    ingest(path, format=fmt)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [population.__file__.rsplit(os.sep, 2)[0], os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, str(path), str(jsonl)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIngest:
@@ -367,6 +418,51 @@ def jsonl_lines(draw, scheme):
     return lines
 
 
+#: Characters csv.reader gives a meaning to in an unquoted log, or refuses.
+CSV_SPECIAL = ',"\r\n\0'
+PLAIN_USERS = st.sampled_from(["a", "b", "c", "ü", "用户", " a", "a b", ""])
+
+
+def plain(text):
+    return text.translate(dict.fromkeys(map(ord, CSV_SPECIAL)))
+
+
+@st.composite
+def block_logs(draw, scheme):
+    """A CSV log of unquoted rows with up to three faults anywhere after the
+    header: a blank line, a short row, or one inserted comma, NUL, quote,
+    carriage return or newline; the last line may lack its newline."""
+    names = draw(st.lists(st.sampled_from(["x", "user_id", "timestamp_utc"]), max_size=2))
+    header = draw(st.permutations(["user_id", "timestamp_utc"] + names))
+    fields = {"user_id": PLAIN_USERS, "timestamp_utc": stamps(scheme).map(plain), "x": st.just("x")}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 40))):
+        lines.append(",".join(draw(fields[name]) for name in header))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(lines)))
+        fault = draw(st.sampled_from(["blank", "short", ",", "\0", '"', "\r", "\n"]))
+        if fault == "blank":
+            lines.insert(k, "")
+        elif k < len(lines) and fault == "short":
+            lines[k] = lines[k].rpartition(",")[0]
+        elif k < len(lines):
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + fault + lines[k][at:]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@contextmanager
+def field_size_limit(limit):
+    """csv.field_size_limit lowered to ``limit`` (None: unchanged) for a while."""
+    saved = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(saved)
+
+
 class TestIngestMatchesScalarReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -398,6 +494,79 @@ class TestIngestMatchesScalarReference:
         for chunk in (1, 2, 7, population._CHUNK_ROWS):
             with mock.patch.object(population, "_CHUNK_ROWS", chunk):
                 assert_same(observed(ingest, path, **kwargs), want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        scheme=st.sampled_from(SCHEMES),
+        min_count=st.integers(0, 3),
+        tz_offset=st.sampled_from([0.0, 3600.0, -0.5]),
+        # header fields have up to 13 characters, ISO timestamps 20
+        limit=st.sampled_from([None, None, 13, 16, 22]),
+    )
+    def test_block_path_matches(self, tmp_path_factory, data, scheme, min_count, tz_offset, limit):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_bytes(data.draw(block_logs(scheme)).encode("utf-8"))
+        kwargs = dict(scheme=scheme, min_count=min_count, tz_offset=tz_offset)
+        with field_size_limit(limit):
+            want = observed(ref_ingest, path, **kwargs)
+            for chunk in (1, 2, 7, population._CHUNK_ROWS):
+                with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+                    assert_same(observed(ingest, path, **kwargs), want)
+
+    def test_each_block_takes_its_path(self, tmp_path):
+        lines = [f"u{k % 3},{3600 * k + 60}" for k in range(20)]
+        lines[5] = ""  # block 2 of 4 lines: csv.reader on the block
+        lines[13] = 'u1,"60"'  # block 4: csv.reader to the end of the log
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,timestamp_utc\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        split = []
+
+        def split_block(*args, real=population._split_block):
+            block = real(*args)
+            split.append(block is not None)
+            return block
+
+        rows = mock.Mock(wraps=population._csv_rows)
+        with mock.patch.multiple(population, _CHUNK_ROWS=4, _split_block=split_block, _csv_rows=rows):
+            got = observed(ingest, path)
+        assert_same(got, observed(ref_ingest, path))
+        assert split == [True, False, True]
+        block, tail = rows.call_args_list
+        assert block.args[0] == [line + "\n" for line in lines[4:8]]
+        assert block.args[4] == 5  # after the header and block 1
+        assert tail.args[4] == 13
+        assert sum(p.count for p in got[0].values()) == 19
+
+    @pytest.mark.parametrize("variant", ["plain", "quoted header", "no final newline"])
+    def test_clean_log_never_reads_row_by_row(self, tmp_path, variant):
+        rng = np.random.default_rng(3)
+        stamps = rng.integers(0, 10**10, 9000).astype(str).astype(object)
+        stamps[rng.random(9000) < 0.5] = "2023-06-01T12:00:00Z"
+        stamps[rng.random(9000) < 0.01] = ""
+        users = [f"ü{k}" for k in rng.integers(0, 50, 9000)]
+        path = write_csv(tmp_path / "log.csv", zip(users, stamps))
+        text = path.read_text("utf-8")
+        if variant == "quoted header":  # quotes in the header alone keep the rows on the block path
+            path.write_text('"user_id",timestamp_utc' + text[len("user_id,timestamp_utc"):], "utf-8")
+        elif variant == "no final newline":
+            path.write_text(text[:-1], "utf-8")
+        with mock.patch.object(population, "_csv_rows", wraps=population._csv_rows) as rows, \
+                mock.patch.object(population, "_parse_timestamp", wraps=_parse_timestamp) as parse:
+            got = observed(ingest, path)
+        rows.assert_not_called()
+        parse.assert_not_called()  # every timestamp is in a bulk form
+        assert_same(got, observed(ref_ingest, path))
+
+    @pytest.mark.parametrize("fault", ['u1,"60"', "u1,60\r", "", "u1,60,x", "u1\0,60", "9" * 40])
+    def test_fault_after_the_first_default_block(self, tmp_path, fault):
+        rng = np.random.default_rng(4)
+        lines = [f"u{k},{t}" for k, t in zip(rng.integers(0, 50, 9000), rng.integers(0, 10**9, 9000))]
+        lines[6000] = fault
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,timestamp_utc\n" + "\n".join(lines), encoding="utf-8")
+        with field_size_limit(30):
+            assert_same(observed(ingest, path), observed(ref_ingest, path))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
@@ -561,6 +730,14 @@ class TestStudy:
         beyond = grid >= result.phi_crit.max()
         p90 = result.gain_percentiles[90][beyond]
         assert np.allclose(p90, p90[0], atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_checks_every_rate_before_any_user(self, bad):
+        users = synth_population(3, seed=1)
+        with mock.patch.object(population, "solve_optimal") as solve:
+            with pytest.raises(ValueError, match=rf"^deferral rate must lie in \[0, 1\), got {bad!r}$"):
+                study(users, [0.1, 0.2, bad])
+        solve.assert_not_called()
 
     def test_rejects_empty_or_mixed(self):
         with pytest.raises(ValueError, match="at least one user"):
