@@ -15,12 +15,13 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from .buffer import analyze_buffer
-from .population import ingest, read_records, study, synth_population
-from .profiles import ActivityProfile, SlotScheme, build_profile
+from .population import ingest, study, synth_population
+from .profiles import ActivityProfile, SlotScheme
 from .simulate import SimConfig, empirical_vs_analytic, run_simulation
 from .strategies import (
     _check_phi,
@@ -53,15 +54,16 @@ def _write_json(path, payload) -> None:
 
 def _cmd_profile_build(args) -> int:
     scheme = _PERIODS[args.period](args.slots)
-    records, row_errors = read_records(
-        args.input, format=args.format, tz_offset=args.tz_offset
-    )
-    for lineno, message in row_errors:
-        print(
-            json.dumps({"warning": f"{args.input}:{lineno}: {message}"}),
-            file=sys.stderr,
-        )
-    profile = build_profile(records, scheme)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            users = ingest(args.input, format=args.format, scheme=scheme, tz_offset=args.tz_offset)
+        finally:  # the row warnings come before any error
+            for warning in caught:
+                print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
+    if len(users) > 1:
+        raise ValueError(f"heterogeneous input: records carry {len(users)} distinct user ids")
+    (profile,) = users.values()
     profile.save(args.out)
     return 0
 

@@ -1,5 +1,9 @@
 """Population experiments: ingestion, synthetic cohorts, and study tables.
 
+:func:`ingest` is the library's one reader of timestamp logs (CSV or
+JSONL): it parses and bins a log a block of rows at a time into one
+activity profile per user, and ``profile build`` takes the same path.
+
 Takes a collection of user profiles (parsed from timestamp logs or sampled
 synthetically), solves every user's deferral problem over a common grid of
 rates, and collects the population-level results: the distribution of
@@ -105,62 +109,28 @@ def _csv_rows(lines, header, iu: int, it: int, base: int, row_errors: list):
             last = base + reader.line_num
 
 
-def _log_rows(path: Path, format: str, row_errors: list):
-    """``(line, user_id, raw timestamp)`` of each log row that has both.
-
-    Other rows go to ``row_errors``.  Lines are physical and 1-based; a CSV
-    row is named by its first line, whatever blank lines or quoted newlines
-    precede it.  Fields are those ``csv.DictReader`` gives.  Logs are UTF-8,
-    a leading byte-order mark skipped.
-    """
-    if format == "csv":
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield from _csv_rows(fh, *_csv_header(fh, path), row_errors)
-    elif format == "jsonl":
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    row_errors.append((lineno, f"bad JSON: {exc}"))
-                    continue
-                if not isinstance(obj, dict):
-                    row_errors.append((lineno, f"not a JSON object: {obj!r}"))
-                    continue
-                user, raw_ts = obj.get("user_id"), obj.get("timestamp_utc")
-                if user in (None, "") or raw_ts in (None, ""):
-                    row_errors.append((lineno, f"missing field in {obj!r}"))
-                else:
-                    yield lineno, str(user), raw_ts
-    else:
-        raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
-
-
-def read_records(path, format: str = "csv", tz_offset: float = 0.0):
-    """Parse a timestamp log into records, skipping malformed rows.
-
-    Returns ``(records, row_errors)`` where ``row_errors`` is a list of
-    ``(line_number, message)`` pairs for rows that could not be parsed:
-    a row whose ``user_id`` or ``timestamp_utc`` is missing, null or
-    empty, a CSV row the ``csv`` module refuses (such as a field over its
-    size limit), a JSONL line that is not a JSON object, or a bad timestamp.
-    Line numbers are physical: a CSV row is named by its first line.
-    ``tz_offset`` (seconds, finite) is added to every timestamp, shifting
-    UTC instants into the users' local time of day.
-    """
-    _check_tz_offset(tz_offset)
-    records: list[TimestampRecord] = []
-    row_errors: list[tuple[int, str]] = []
-    for lineno, user_id, raw_ts in _log_rows(Path(path), format, row_errors):
-        try:
-            ts = _parse_timestamp(raw_ts) + tz_offset
-            records.append(TimestampRecord(user_id=user_id, timestamp=ts))
-        except (ValueError, TypeError) as exc:
-            row_errors.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
-    return records, row_errors
+def _jsonl_rows(path: Path, row_errors: list):
+    """``(line, user_id, raw timestamp)`` of each row of a JSONL log that
+    has both; other rows go to ``row_errors``.  Lines are 1-based; the log
+    is UTF-8, a leading byte-order mark skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                row_errors.append((lineno, f"bad JSON: {exc}"))
+                continue
+            if not isinstance(obj, dict):
+                row_errors.append((lineno, f"not a JSON object: {obj!r}"))
+                continue
+            user, raw_ts = obj.get("user_id"), obj.get("timestamp_utc")
+            if user in (None, "") or raw_ts in (None, ""):
+                row_errors.append((lineno, f"missing field in {obj!r}"))
+            else:
+                yield lineno, str(user), raw_ts
 
 
 #: Lines (or JSONL rows) parsed and binned per block by ``ingest``.
@@ -224,8 +194,8 @@ def _bulk_timestamps(codes: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 def _string_blocks(rows):
     """``(lines, user ids, raw timestamps, codes, lengths)`` of each block
-    of ``_CHUNK_ROWS`` rows from ``_log_rows``, the timestamps as
-    :func:`_bulk_timestamps` takes them."""
+    of ``_CHUNK_ROWS`` rows from ``_csv_rows`` or ``_jsonl_rows``, the
+    timestamps as :func:`_bulk_timestamps` takes them."""
     while block := list(islice(rows, _CHUNK_ROWS)):
         lines, users, raw = zip(*block)
         text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
@@ -311,11 +281,19 @@ def ingest(
 ) -> dict[str, ActivityProfile]:
     """One activity profile per user found in a timestamp log.
 
-    Malformed rows are reported as warnings and skipped; users with fewer
-    than ``min_count`` messages are excluded with a warning.  Raises if no
-    valid user remains.  Reads and bins the log in blocks of rows; profiles,
-    warnings and errors are those of :func:`read_records` followed by
-    :func:`build_profile` per user.
+    Malformed rows are reported as warnings ``path:line: message`` and
+    skipped: a row whose ``user_id`` or ``timestamp_utc`` is missing, null
+    or empty, a CSV row the ``csv`` module refuses (such as a field over
+    its size limit), a JSONL line that is not a JSON object, or a bad
+    timestamp.  Line numbers are physical: a CSV row is named by its first
+    line.  Logs are UTF-8, a leading byte-order mark skipped.  ``tz_offset``
+    (seconds, finite) is added to every timestamp, shifting UTC instants
+    into the users' local time of day.  Users with fewer than ``min_count``
+    messages are excluded with a warning.  Raises if no valid user remains.
+
+    Reads and bins the log in blocks of rows, keeping only per-user slot
+    counts and row errors; each profile is the one :func:`build_profile`
+    gives for the user's records.
     """
     if scheme is None:
         scheme = SlotScheme.day()
@@ -327,8 +305,10 @@ def ingest(
     row_errors: list[tuple[int, str]] = []
     if format == "csv":
         blocks = _csv_blocks(Path(path), row_errors)
+    elif format == "jsonl":
+        blocks = _string_blocks(_jsonl_rows(Path(path), row_errors))
     else:
-        blocks = _string_blocks(_log_rows(Path(path), format, row_errors))
+        raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
     for lines, users, raw, codes, length in blocks:
         ts = _bulk_timestamps(codes, length) + tz_offset
         for j in np.flatnonzero(~(ts >= 0)).tolist():  # not a bulk form, or negative
@@ -338,11 +318,9 @@ def ingest(
                 row_errors.append((lines[j], f"bad timestamp {raw[j]!r}: {exc}"))
                 ts[j] = np.nan
         good = ts >= 0
-        rem = ts[good] % scheme.period_seconds  # the rule of SlotScheme.slot_of
-        slot = np.where(rem == 0.0, n, np.clip(np.ceil(rem / scheme.slot_duration), 1, n))
         kept = users if good.all() else list(compress(users, good.tolist()))
         user = np.fromiter(map(index.__getitem__, kept), np.int64, len(kept))
-        binned = np.bincount(user * n + slot.astype(np.int64) - 1)
+        binned = np.bincount(user * n + scheme.slot_of(ts[good]) - 1)
         if len(index) * n > counts.size:  # new users: zero-filled rows, no view of counts exists
             counts.resize(len(index) * n, refcheck=False)
         counts[: binned.size] += binned

@@ -50,6 +50,8 @@ class SlotScheme:
             raise ValueError(f"slot count must be an integer >= 2, got {self.n!r}")
         if not self.period_seconds > 0:
             raise ValueError(f"period must be positive, got {self.period_seconds!r}")
+        if not math.isfinite(self.period_seconds):
+            raise ValueError(f"period must be finite, got {self.period_seconds!r}")
 
     @property
     def slot_duration(self) -> float:
@@ -64,18 +66,17 @@ class SlotScheme:
     def week(cls, n: int = 7) -> "SlotScheme":
         return cls(n, WEEK_SECONDS)
 
-    def slot_of(self, timestamp: float) -> int:
-        """1-based slot index of a UTC epoch timestamp.
+    def slot_of(self, timestamp):
+        """1-based slot index of a UTC epoch timestamp, or an ``int64`` array
+        of them for an array of timestamps.
 
         Slot ``i`` covers the half-open interval ``(i-1, i]`` in slot units,
         so a timestamp landing exactly on a boundary belongs to the earlier
         slot, and a timestamp at a period boundary maps to slot ``n``.
         """
-        rem = float(timestamp) % self.period_seconds
-        if rem == 0.0:
-            return self.n
-        slot = math.ceil(rem / self.slot_duration)
-        return min(max(slot, 1), self.n)
+        rem = np.asarray(timestamp, dtype=float) % self.period_seconds
+        slot = np.where(rem == 0.0, self.n, np.clip(np.ceil(rem / self.slot_duration), 1, self.n))
+        return int(slot) if slot.ndim == 0 else slot.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,8 @@ class ActivityProfile:
         _validate_pmf(q)
         if self.count < 0:
             raise ValueError(f"message count must be >= 0, got {self.count!r}")
+        if not math.isfinite(self.count):
+            raise ValueError(f"message count must be finite, got {self.count!r}")
         self.q = q
 
     @property
@@ -137,13 +140,13 @@ class ActivityProfile:
         return cls(scheme=scheme, q=data["q"], count=float(data.get("count", 0.0)))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "ActivityProfile":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
 
@@ -194,11 +197,9 @@ def build_profile(records: Sequence[TimestampRecord], scheme: SlotScheme) -> Act
         raise ValueError(
             f"heterogeneous input: records carry {len(user_ids)} distinct user ids"
         )
-    counts = np.zeros(scheme.n)
-    for rec in records:
-        counts[scheme.slot_of(rec.timestamp) - 1] += 1
-    total = counts.sum()
-    return ActivityProfile(scheme=scheme, q=counts / total, count=float(total))
+    slots = scheme.slot_of([rec.timestamp for rec in records])
+    counts = np.bincount(slots - 1, minlength=scheme.n)
+    return ActivityProfile(scheme=scheme, q=counts / len(records), count=float(len(records)))
 
 
 def entropy(p) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +29,13 @@ def write_log(path, rows):
         fh.write("user_id,timestamp_utc\n")
         for user, ts in rows:
             fh.write(f"{user},{ts}\n")
+    return str(path)
+
+
+def write_jsonl(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        for user, ts in rows:
+            fh.write(json.dumps({"user_id": user, "timestamp_utc": ts}) + "\n")
     return str(path)
 
 
@@ -90,6 +98,63 @@ class TestProfileBuild:
         assert Path(f"{marked}.json").read_bytes() == Path(f"{log}.json").read_bytes()
         for table in sorted(Path(f"{log}.out").iterdir()):
             assert (Path(f"{marked}.out") / table.name).read_bytes() == table.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fmt, write, bad_line", [("csv", write_log, 4), ("jsonl", write_jsonl, 3)]
+    )
+    def test_two_users_refused(self, tmp_path, capsys, fmt, write, bad_line):
+        log = write(tmp_path / f"log.{fmt}", [("a", 60), ("b", 7200), ("b", "bogus"), ("a", 90)])
+        out = tmp_path / "p.json"
+        assert main(["profile", "build", "--input", log, "--format", fmt, "--out", str(out)]) == 1
+        err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert err == [
+            {"warning": f"{log}:{bad_line}: bad timestamp 'bogus': "
+                        "Invalid isoformat string: 'bogus'"},
+            {"error": "heterogeneous input: records carry 2 distinct user ids",
+             "type": "ValueError"},
+        ]
+        assert not out.exists()
+
+    def test_all_bad_log_warns_then_names_the_path(self, tmp_path, capsys):
+        log = write_log(tmp_path / "log.csv", [("a", "bogus"), ("", 60), ("b", -5)])
+        out = tmp_path / "p.json"
+        assert main(["profile", "build", "--input", log, "--out", str(out)]) == 1
+        err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [list(line) for line in err] == [["warning"]] * 3 + [["error", "type"]]
+        where = [line["warning"].split(": ")[0] for line in err[:3]]
+        assert where == [f"{log}:{k}" for k in (2, 3, 4)]
+        assert err[3] == {"error": f"{log}: no valid users after parsing and filtering",
+                          "type": "ValueError"}
+        assert not out.exists()
+
+    def test_jsonl_and_csv_logs_give_the_same_bytes(self, tmp_path, capsys):
+        rows = [("ü", 60 + 3607 * k) for k in range(50)] + [("ü", "2023-06-01T12:00:00Z")] * 3
+        rows += [("ü", "not-a-time")]
+        logs = [write(tmp_path / f"log.{fmt}", rows) for fmt, write in
+                (("csv", write_log), ("jsonl", write_jsonl))]
+        for log, fmt in zip(logs, ("csv", "jsonl")):
+            assert main(["profile", "build", "--input", log, "--format", fmt, "--slots", "168",
+                         "--period", "week", "--out", f"{log}.json"]) == 0
+        assert Path(f"{logs[0]}.json").read_bytes() == Path(f"{logs[1]}.json").read_bytes()
+        assert ActivityProfile.load(f"{logs[0]}.json").count == 53
+        err = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
+        assert err == [f"{logs[0]}:55: bad timestamp 'not-a-time': "
+                       "Invalid isoformat string: 'not-a-time'",
+                       f"{logs[1]}:54: bad timestamp 'not-a-time': "
+                       "Invalid isoformat string: 'not-a-time'"]
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        log = write_log(tmp_path / "log.csv", (("u", 37 * k) for k in range(100_000)))
+        out = tmp_path / "p.json"
+        tracemalloc.start()
+        try:
+            code = main(["profile", "build", "--input", log, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and ActivityProfile.load(out).count == 100_000
+        # measured 3.4 MB; keeping one record per row would cost about 13 MB
+        assert peak < 10e6
 
 
 class TestStrategySolve:

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 
 from deferral import population
 from deferral.population import (
+    _csv_header,
+    _csv_rows,
+    _jsonl_rows,
     _parse_timestamp,
     ingest,
     nearest_rank_percentile,
-    read_records,
     study,
     synth_population,
 )
@@ -29,7 +32,6 @@ from deferral.profiles import (
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
-    build_profile,
     critical_rate,
     uniform_pmf,
 )
@@ -55,6 +57,9 @@ class TestReadRecords:
         records, errors = read_records(path)
         assert errors == []
         assert [r.timestamp for r in records] == [3600.0, 9000.0, 11700.0]
+        got = observed(ingest, path)
+        assert_same(got, observed(ref_ingest, path))
+        assert got[0]["u"].q[[0, 2, 3]].tolist() == [1 / 3] * 3 and got[1] == []
 
     def test_malformed_rows_reported(self, tmp_path):
         path = write_csv(
@@ -64,6 +69,9 @@ class TestReadRecords:
         assert len(records) == 1
         assert len(errors) == 2
         assert all(isinstance(line, int) for line, _ in errors)
+        got = observed(ingest, path)
+        assert_same(got, observed(ref_ingest, path))
+        assert got[0]["u"].count == 1 and len(got[1]) == 2
 
     def test_jsonl(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -78,12 +86,16 @@ class TestReadRecords:
         records, errors = read_records(path, format="jsonl")
         assert records == [TimestampRecord("u", 120.0)]
         assert [lineno for lineno, _ in errors] == list(range(2, 14))
+        got = observed(ingest, path, format="jsonl")
+        assert_same(got, observed(ref_ingest, path, format="jsonl"))
+        assert [w[1].split(": ")[0] for w in got[1]] == [f"{path}:{k}" for k in range(2, 14)]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("who,when\nu,60\n")
-        with pytest.raises(ValueError, match="user_id,timestamp_utc"):
-            read_records(path)
+        for call in (read_records, ingest):
+            with pytest.raises(ValueError, match="user_id,timestamp_utc"):
+                call(path)
 
     def test_oversized_header_field_is_a_bad_header(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -101,6 +113,9 @@ class TestReadRecords:
         path = write_csv(tmp_path / "log.csv", [("u", "0")])
         records, _ = read_records(path, tz_offset=HOUR)
         assert records[0].timestamp == HOUR
+        got = observed(ingest, path, tz_offset=HOUR)
+        assert_same(got, observed(ref_ingest, path, tz_offset=HOUR))
+        assert got[0]["u"].q[0] == 1.0  # not slot 24, where the unshifted 0 falls
 
 
 class TestEncoding:
@@ -130,23 +145,30 @@ class TestEncoding:
         path = write_csv(tmp_path / "log.csv", self.ROWS)
         jsonl = tmp_path / "log.jsonl"
         jsonl.write_text(json.dumps({"user_id": "ü", "timestamp_utc": 60}) + "\n", encoding="utf-8")
+        one_user = write_csv(tmp_path / "one.csv", [row for row in self.ROWS if row[0] == "ü"])
         code = (
             "import sys, warnings\n"
-            "from deferral.population import ingest, read_records\n"
+            "from deferral.population import ingest\n"
             "warnings.simplefilter('ignore', UserWarning)\n"
             "for fmt, path in (('csv', sys.argv[1]), ('jsonl', sys.argv[2])):\n"
-            "    read_records(path, format=fmt)\n"
             "    ingest(path, format=fmt)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [population.__file__.rsplit(os.sep, 2)[0], os.environ.get("PYTHONPATH")])
         ))
+        strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
         proc = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-             "-c", code, str(path), str(jsonl)],
-            capture_output=True, text=True, env=env,
+            [*strict, "-c", code, str(path), str(jsonl)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
+        for fmt, log in (("csv", one_user), ("jsonl", jsonl)):
+            proc = subprocess.run(
+                [*strict, "-m", "deferral", "profile", "build", "--input", str(log),
+                 "--format", fmt, "--out", f"{log}.json"],
+                capture_output=True, text=True, env=env,
+            )
+            # an EncodingWarning raised inside ingest would be printed as a warning line
+            assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestIngest:
@@ -201,6 +223,7 @@ class TestIngest:
             ingest(path)
         where = [str(w.message).split(": ")[0] for w in caught]
         assert where == [f"{path}:{k}" for k in (5, 6, 8, 9)]
+        assert_same(observed(ingest, path), observed(ref_ingest, path))
 
         path = tmp_path / "log.jsonl"
         rows = ['{"user_id": "u", "timestamp_utc": 60}', '{"user_id": "u", "timestamp_utc": "x"}']
@@ -208,6 +231,8 @@ class TestIngest:
         assert [line for line, _ in read_records(path, format="jsonl")[1]] == [5]
         with pytest.warns(UserWarning, match=r"log\.jsonl:5: bad timestamp 'x'"):
             ingest(path, format="jsonl")
+        want = observed(ref_ingest, path, format="jsonl")
+        assert_same(observed(ingest, path, format="jsonl"), want)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tz_offset_refused_once(self, tmp_path, bad):
@@ -268,8 +293,48 @@ class TestIngest:
         assert peak < 10e6
 
 
+def ref_slot_of(scheme, timestamp):
+    """Scalar reference for ``SlotScheme.slot_of``: slot ``i`` covers
+    ``(i-1, i]`` in slot units, a period boundary maps to slot ``n``."""
+    rem = float(timestamp) % scheme.period_seconds
+    if rem == 0.0:
+        return scheme.n
+    slot = math.ceil(rem / scheme.slot_duration)
+    return min(max(slot, 1), scheme.n)
+
+
+def log_rows(path, format, row_errors):
+    """``(line, user_id, raw timestamp)`` of each log row that has both,
+    CSV rows read one at a time by ``csv.reader``; other rows go to
+    ``row_errors``."""
+    if format == "csv":
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield from _csv_rows(fh, *_csv_header(fh, path), row_errors)
+    elif format == "jsonl":
+        yield from _jsonl_rows(path, row_errors)
+    else:
+        raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
+
+
+def read_records(path, format="csv", tz_offset=0.0):
+    """Scalar reference for the parsing half of ``ingest``: ``(records,
+    row_errors)``, one ``TimestampRecord`` per valid row and one ``(line,
+    message)`` pair per malformed one, in the order of the log."""
+    if not math.isfinite(tz_offset):
+        raise ValueError(f"tz_offset must be finite, got {tz_offset!r}")
+    records, row_errors = [], []
+    for lineno, user_id, raw_ts in log_rows(path, format, row_errors):
+        try:
+            ts = _parse_timestamp(raw_ts) + tz_offset
+            records.append(TimestampRecord(user_id=user_id, timestamp=ts))
+        except (ValueError, TypeError) as exc:
+            row_errors.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
+    return records, row_errors
+
+
 def ref_ingest(path, format="csv", scheme=None, min_count=1, tz_offset=0.0):
-    """Scalar reference for ``ingest``: read_records, group, build_profile."""
+    """Scalar reference for ``ingest``: read_records, group, bin one record
+    at a time with ``ref_slot_of``."""
     if scheme is None:
         scheme = SlotScheme.day()
     records, row_errors = read_records(path, format=format, tz_offset=tz_offset)
@@ -287,7 +352,11 @@ def ref_ingest(path, format="csv", scheme=None, min_count=1, tz_offset=0.0):
                 stacklevel=2,
             )
             continue
-        profiles[user_id] = build_profile(recs, scheme)
+        counts = np.zeros(scheme.n)
+        for rec in recs:
+            counts[ref_slot_of(scheme, rec.timestamp) - 1] += 1
+        total = counts.sum()
+        profiles[user_id] = ActivityProfile(scheme=scheme, q=counts / total, count=float(total))
     if not profiles:
         raise ValueError(f"{path}: no valid users after parsing and filtering")
     return profiles
@@ -604,6 +673,34 @@ class TestIngestMatchesScalarReference:
         users = [f"u{k}" for k in rng.integers(0, 50, rows)]
         path = write_csv(tmp_path / "log.csv", zip(users, stamps))
         assert_same(observed(ingest, path, min_count=20), observed(ref_ingest, path, min_count=20))
+
+
+class TestSlotOfMatchesScalarReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        scheme=st.one_of(
+            st.integers(2, 1440).map(SlotScheme.day),
+            st.sampled_from([SlotScheme.week(), SlotScheme.week(168), *SCHEMES]),
+        ),
+    )
+    def test_array_matches_scalar_reference(self, data, scheme):
+        boundary = st.one_of(
+            st.integers(0, 3 * 400 * scheme.n).map(lambda k: k * scheme.slot_duration),
+            st.integers(0, 10**6).map(lambda k: k * scheme.period_seconds),
+        )
+        near = st.tuples(boundary, st.sampled_from([-math.inf, None, math.inf])).map(
+            lambda pair: pair[0] if pair[1] is None else float(np.nextafter(*pair))
+        )
+        stamps = data.draw(st.lists(
+            st.one_of(near, near, st.floats(0, 4e9), st.floats(0, 2.0**53), st.just(2.0**53)),
+            min_size=1, max_size=60,
+        ))
+        want = [ref_slot_of(scheme, t) for t in stamps]
+        got = scheme.slot_of(np.array(stamps))
+        assert got.dtype == np.int64 and got.tolist() == want
+        scalars = [scheme.slot_of(t) for t in stamps]
+        assert all(type(k) is int for k in scalars) and scalars == want
 
 
 class TestSynthPopulation:

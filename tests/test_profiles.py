@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ class TestSlotScheme:
             SlotScheme(24, 0.0)
         with pytest.raises(ValueError):
             SlotScheme(24, -5.0)
+
+    def test_rejects_infinite_period(self):
+        # an infinite period would bin every timestamp into slot 1
+        with pytest.raises(ValueError, match=r"^period must be finite, got inf$"):
+            SlotScheme(24, float("inf"))
 
     def test_boundary_belongs_to_earlier_slot(self):
         scheme = hourly_scheme()
@@ -76,6 +83,29 @@ class TestActivityProfile:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             ActivityProfile(SlotScheme(2, 10.0), [0.5, 0.5], count=-1)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_count(self, bad):
+        with pytest.raises(ValueError, match=rf"^message count must be finite, got {bad!r}$"):
+            ActivityProfile(SlotScheme(2, 10.0), [0.5, 0.5], count=bad)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("count", float("inf"), "message count must be finite, got inf"),
+            ("count", float("nan"), "message count must be finite, got nan"),
+            ("period_seconds", float("inf"), "period must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_fields_refused_on_load(self, tmp_path, field, value, message):
+        data = ActivityProfile(hourly_scheme(4), [0.1, 0.2, 0.3, 0.4], count=10).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ActivityProfile.from_dict(data)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))  # as Infinity or NaN, which json.load accepts
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ActivityProfile.load(path)
 
     def test_roundtrip(self, tmp_path):
         prof = ActivityProfile(hourly_scheme(4), [0.1, 0.2, 0.3, 0.4], count=10)
