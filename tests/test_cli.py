@@ -272,6 +272,18 @@ class TestSimulate:
                      "--seed", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["discipline"] == "fifo"
 
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        prof_path = save_profile(tmp_path, [0.5, 0.3, 0.2])
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--profile", prof_path, "--phi", "0.1",
+                     "--alpha", "1000", "--cycles", "10", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "seed must be a non-negative integer, got -1", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
 
 class TestPopulationStudy:
     def test_synth_writes_tables(self, tmp_path):

@@ -13,9 +13,11 @@ from deferral.buffer import capacity, forwarding_hazards, steady_state
 from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, uniform_pmf
 from deferral.simulate import (
     _DRAIN_ATOL,
+    _SCALAR_GROUPS,
     RNG_ALGORITHM,
     SimConfig,
     SimReport,
+    _marginal_draw,
     empirical_vs_analytic,
     run_simulation,
 )
@@ -68,11 +70,16 @@ class TestSimConfig:
             dict(alpha=10, cycles=10, warmup_cycles=False),
             dict(alpha=10, cycles=10, warmup_cycles=1.5),
             dict(alpha=10, cycles=np.float64(10)),
+            dict(alpha=10, cycles=10, seed=True),
+            dict(alpha=10, cycles=10, seed=1.0),
         ):
             name = next(k for k, v in bad.items() if type(v) is not int)
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SimConfig(profile=prof, strategy=strat, **bad)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SimConfig(profile=prof, strategy=strat, alpha=10, cycles=10, seed=-1)
         SimConfig(profile=prof, strategy=strat, alpha=np.int64(10), cycles=np.int32(3))
+        SimConfig(profile=prof, strategy=strat, alpha=10, cycles=10, seed=np.uint64(2**64 - 1))
 
     def test_rejects_mismatched_profile(self):
         prof = profile(uniform_pmf(4))
@@ -281,6 +288,27 @@ class TestRandomStream:
         before = rng.bit_generator.state
         rng.multivariate_hypergeometric(np.array([3, 4, 5]), 6)
         assert rng.bit_generator.state != before
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=11),
+        take=st.integers(0, 11 * 10**6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # either side of the complement rule (take > total // 2 draws total - take),
+    # where a later draw splits its population in half: the one case in which
+    # drawing the complement gives other counts from the same random numbers
+    @example(counts=[2, 2, 2, 2], take=4, seed=1)
+    @example(counts=[2, 2, 2, 2], take=5, seed=1)
+    @example(counts=[10, 20, 20], take=25, seed=6)
+    @example(counts=[10, 20, 20], take=26, seed=6)
+    @example(counts=[5, 0, 8, 1], take=8, seed=2)  # a slot with no messages
+    def test_scalar_chain_is_numpys_draw(self, counts, take, seed):
+        take %= sum(counts) + 1
+        chain, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = _marginal_draw(chain.hypergeometric, counts, sum(counts), take)
+        assert drawn == numpy.multivariate_hypergeometric(counts, take).tolist()
+        assert chain.bit_generator.state == numpy.bit_generator.state
 
 
 # -- scalar reference ---------------------------------------------------------
@@ -520,9 +548,20 @@ def assert_matches_reference(kind, n, seed, fraction, discipline, alpha, cycles,
     return got
 
 
+#: ``uniform_random`` runs whose widest partial release draws from exactly
+#: ``_SCALAR_GROUPS`` and ``_SCALAR_GROUPS + 1`` arrival slots: the widest
+#: scalar-chain draw and the narrowest ``multivariate_hypergeometric`` one.
+AT_SCALAR_LIMIT = dict(kind="dirichlet-1", n=24, seed=1, fraction=1.0,
+                       discipline="uniform_random", alpha=1000, cycles=3, warmup=1)
+PAST_SCALAR_LIMIT = dict(kind="dirichlet-1", n=24, seed=3, fraction=1.0,
+                         discipline="uniform_random", alpha=100, cycles=3, warmup=1)
+
+
 class TestScalarReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(**CONFIGS)
+    @example(**AT_SCALAR_LIMIT)
+    @example(**PAST_SCALAR_LIMIT)
     # partial releases from several groups, where FIFO and LIFO part ways
     @example(kind="dirichlet-1", n=24, seed=1, fraction=0.6, discipline="fifo",
              alpha=10_000, cycles=4, warmup=1)
@@ -557,6 +596,49 @@ class TestScalarReference:
         # nothing is ever released: both loops must refuse a run that stored anything
         with scaled_hazards(0.0):
             assert_matches_reference(**config)
+
+    @pytest.mark.parametrize(
+        "config, widest", [(AT_SCALAR_LIMIT, _SCALAR_GROUPS), (PAST_SCALAR_LIMIT, _SCALAR_GROUPS + 1)]
+    )
+    def test_pinned_runs_straddle_the_scalar_limit(self, config, widest):
+        # every draw down the scalar chain, to see how many groups each had
+        with mock.patch.object(simulate, "_SCALAR_GROUPS", 10**6), mock.patch.object(
+            simulate, "_marginal_draw", wraps=_marginal_draw
+        ) as spy:
+            run_simulation(drawn_config(**config))
+        assert max(len(call.args[1]) for call in spy.call_args_list) == widest
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**CONFIGS)
+    @example(**AT_SCALAR_LIMIT)
+    def test_array_buffer_matches_reference(self, **config):
+        # every partial uniform_random release puts the buffer in array form
+        with mock.patch.object(simulate, "_ARRAY_GROUPS", 0):
+            assert_matches_reference(**config)
+
+    def test_many_groups_at_minute_slots(self):
+        # of the partial releases from several arrival slots (about 30 on
+        # average, at most 45), 45% draw from more than _ARRAY_GROUPS and 52%
+        # from more than _SCALAR_GROUPS but no more than _ARRAY_GROUPS
+        rng = np.random.default_rng(1)
+        prof = ActivityProfile(SlotScheme(1440, 86400.0), rng.dirichlet(np.full(1440, 0.1)))
+        strat = solve_optimal(prof, 0.6 * critical_rate(prof))
+        cfg = SimConfig(
+            profile=prof, strategy=strat, alpha=10**5, cycles=2, warmup_cycles=1, seed=1
+        )
+        assert_reports_equal(run_simulation(cfg), ref_run_simulation(cfg))
+
+    def test_refuses_a_buffer_past_numpys_limit(self):
+        # numpy's multivariate draw refuses a population of 10**9 or more;
+        # scalar draws would only limit each argument
+        prof = profile([0.3, 0.3, 0.02, 0.3, 0.02, 0.06])
+        strat = solve_optimal(prof, critical_rate(prof))
+        cfg = SimConfig(
+            profile=prof, strategy=strat, alpha=4 * 10**9, cycles=2, warmup_cycles=1, seed=1
+        )
+        got = sim_outcome(run_simulation, cfg)
+        assert got == sim_outcome(ref_run_simulation, cfg)
+        assert got[0] == "raise" and "sum(colors) must be less than 1000000000" in got[1]
 
     def test_undrained_cycle_raises(self):
         # halved hazards: the drain slot releases only half the buffer
