@@ -31,13 +31,10 @@ make that call.  Both run the same sampler with the same arguments in the
 same order, so they draw the same counts from the same random numbers and
 seeded outputs do not depend on which one a release takes.  Releases of the
 whole buffer or from one arrival slot are forced and draw nothing (numpy's
-draw would consume no random numbers there either).  The buffer is a list of
-counts, held as arrays instead during a run of releases from more than
-``_ARRAY_GROUPS`` slots; that choice, too, changes only the cost of a
-release.  As every cycle drains, a cycle's delay sum is
-``sum_j j*released_j - sum_i i*stored_i`` and its delayed count
-``sum(stored)``; the occupancy after a slot is the running buffer level, and
-mean occupancy and posted counts follow from run totals.
+draw would consume no random numbers there either).  As every cycle drains,
+a cycle's delay sum is ``sum_j j*released_j - sum_i i*stored_i`` and its
+delayed count ``sum(stored)``; the occupancy after a slot is the running
+buffer level, and mean occupancy and posted counts follow from run totals.
 
 Simulations are deterministic given the seed.  A single run is sequential;
 independent runs can execute concurrently, each with its own config.
@@ -67,13 +64,6 @@ _SCALAR_GROUPS = 6
 #: numpy's ``multivariate_hypergeometric`` refuses a population this large.
 _MVHG_LIMIT = 10**9
 
-#: A partial ``uniform_random`` release from more than this many arrival
-#: slots switches the buffer from lists to arrays until the next store, full
-#: release or release from fewer slots: list updates cost about 0.14 us per
-#: slot, the array form about 5 us per release plus as much to enter and
-#: leave it.
-_ARRAY_GROUPS = 32
-
 
 def _marginal_draw(hypergeometric, counts, total, take):
     """Draw ``take`` of ``total`` messages held in groups ``counts`` without
@@ -94,16 +84,6 @@ def _marginal_draw(hypergeometric, counts, total, take):
     if flip:
         drawn = [c - k for c, k in zip(counts, drawn)]
     return drawn
-
-
-def _to_lists(wide, held):
-    """Write the array form of the buffer back into ``held``; return the
-    live slots."""
-    slots, counts = wide
-    live = slots.tolist()
-    for i, c in zip(live, counts.tolist()):
-        held[i] = c
-    return live
 
 
 @dataclass
@@ -224,7 +204,6 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
 
     measured = cfg.cycles - cfg.warmup_cycles
     delay_hist = np.zeros(n, dtype=np.int64)
-    warmup_hist = np.zeros(n, dtype=np.int64)
     per_cycle_delayed = np.zeros(measured, dtype=np.int64)
     per_cycle_delay_sum = np.zeros(measured)
     # post-warmup totals per reordered slot
@@ -242,10 +221,6 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
         held = stored.tolist()
         live = []
         hist = [0] * n  # this cycle's delay histogram
-        # the buffer as (live slots, their counts) arrays while it is in that
-        # form; releases from it go straight into the run's histogram
-        wide = None
-        wide_hist = delay_hist if counting else warmup_hist
         level = top = delay_sum = 0
 
         for j in range(n):
@@ -260,60 +235,44 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
                     take = int(residue)  # <= level: the residue stays in [0, 1) between slots
                     acc[j] = residue - take
                 if take:
-                    # only partial uniform_random releases from many slots use arrays
-                    if wide is not None and (take == level or wide[0].size <= _ARRAY_GROUPS):
-                        live, wide = _to_lists(wide, held), None
-                    if wide is None and uniform and take < level and len(live) > _ARRAY_GROUPS:
-                        wide = np.array(live), np.array([held[i] for i in live], dtype=np.int64)
-                    # a message stored at slot i and released now waited j - i slots
-                    if wide is not None:
-                        slots, counts = wide
-                        drawn = rng.multivariate_hypergeometric(counts, take)
-                        counts -= drawn
-                        wide_hist[j - 1 - slots] += drawn
-                        if not counts.all():
-                            keep = counts > 0
-                            wide = slots[keep], counts[keep]
-                    else:
-                        # releasing the whole buffer, or from one slot, is forced
-                        if take == level:
-                            taken = [(i, held[i]) for i in live]
-                        elif len(live) == 1:
-                            taken = [(live[0], take)]
-                        elif uniform:
-                            counts = [held[i] for i in live]
-                            if len(live) <= _SCALAR_GROUPS and level < _MVHG_LIMIT:
-                                drawn = _marginal_draw(hypergeometric, counts, level, take)
-                            else:
-                                # an array: numpy converts a list argument slowly
-                                drawn = rng.multivariate_hypergeometric(
-                                    np.array(counts, dtype=np.int64), take
-                                ).tolist()
-                            taken = zip(live, drawn)
+                    # releasing the whole buffer, or from one slot, is forced
+                    if take == level:
+                        taken = [(i, held[i]) for i in live]
+                    elif len(live) == 1:
+                        taken = [(live[0], take)]
+                    elif uniform:
+                        counts = [held[i] for i in live]
+                        if len(live) <= _SCALAR_GROUPS and level < _MVHG_LIMIT:
+                            drawn = _marginal_draw(hypergeometric, counts, level, take)
                         else:
-                            taken, left = [], take
-                            for i in reversed(live) if lifo else live:
-                                k = min(held[i], left)
-                                taken.append((i, k))
-                                left -= k
-                                if not left:
-                                    break
-                        emptied = False
-                        for i, k in taken:
-                            if k:
-                                held[i] -= k
-                                hist[j - 1 - i] += k
-                                if not held[i]:
-                                    emptied = True
-                        if emptied:
-                            live = [i for i in live if held[i]]
+                            # an array: numpy converts a list argument slowly
+                            drawn = rng.multivariate_hypergeometric(
+                                np.array(counts, dtype=np.int64), take
+                            ).tolist()
+                        taken = zip(live, drawn)
+                    else:
+                        taken, left = [], take
+                        for i in reversed(live) if lifo else live:
+                            k = min(held[i], left)
+                            taken.append((i, k))
+                            left -= k
+                            if not left:
+                                break
+                    # a message stored at slot i and released now waited j - i slots
+                    emptied = False
+                    for i, k in taken:
+                        if k:
+                            held[i] -= k
+                            hist[j - 1 - i] += k
+                            if not held[i]:
+                                emptied = True
+                    if emptied:
+                        live = [i for i in live if held[i]]
                     level -= take
                     if counting:
                         released[j] += take
                     delay_sum += j * take
             if held[j]:  # nothing released yet from this slot's own arrivals
-                if wide is not None:
-                    live, wide = _to_lists(wide, held), None
                 live.append(j)
                 level += held[j]
                 delay_sum -= j * held[j]

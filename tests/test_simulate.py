@@ -608,18 +608,9 @@ class TestScalarReference:
             run_simulation(drawn_config(**config))
         assert max(len(call.args[1]) for call in spy.call_args_list) == widest
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(**CONFIGS)
-    @example(**AT_SCALAR_LIMIT)
-    def test_array_buffer_matches_reference(self, **config):
-        # every partial uniform_random release puts the buffer in array form
-        with mock.patch.object(simulate, "_ARRAY_GROUPS", 0):
-            assert_matches_reference(**config)
-
     def test_many_groups_at_minute_slots(self):
         # of the partial releases from several arrival slots (about 30 on
-        # average, at most 45), 45% draw from more than _ARRAY_GROUPS and 52%
-        # from more than _SCALAR_GROUPS but no more than _ARRAY_GROUPS
+        # average, at most 45), 97% draw from more than _SCALAR_GROUPS
         rng = np.random.default_rng(1)
         prof = ActivityProfile(SlotScheme(1440, 86400.0), rng.dirichlet(np.full(1440, 0.1)))
         strat = solve_optimal(prof, 0.6 * critical_rate(prof))
