@@ -14,6 +14,7 @@ from .profiles import (
     build_profile,
     critical_rate,
     entropy,
+    entropy_rows,
     kl_divergence,
     total_variation,
     uniform_pmf,
@@ -67,6 +68,7 @@ __all__ = [
     "delay_distribution",
     "empirical_vs_analytic",
     "entropy",
+    "entropy_rows",
     "find_starting_index",
     "ingest",
     "kl_divergence",

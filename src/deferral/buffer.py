@@ -18,6 +18,7 @@ is ``sum(b)`` slots over all messages, under any extraction discipline.
 All functions are pure; slot indices are 1-based and cyclic throughout.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -131,26 +132,32 @@ def find_starting_index(strat: DeferralStrategy) -> int:
 def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
     """Build the repeating occupancy pattern for a feasible strategy.
 
-    ``b`` is one scalar pass of the clamped recurrence over the cycle rotated
-    to the starting index, from an empty buffer: O(n).  No other start needs
-    running, because ``L -> max(L + a, 0)`` is monotone in ``L`` (Lindley's
-    recursion).  A run that starts empty at any later slot starts at or
-    below the run from the starting index, whose level there is ``>= 0``, so
-    it stays at or below it to the end of the cycle, where that run is at
-    most ``CAUSALITY_ATOL`` above 0 (checked below).  From a level in
+    ``b`` is one pass of the clamped recurrence over the cycle rotated to
+    the starting index, from an empty buffer: O(n).  Until the first
+    negative prefix sum it never clamps and its levels are the prefix sums
+    (the same additions in the same order), so the scalar recurrence runs
+    only from there on.  No other start needs running, because
+    ``L -> max(L + a, 0)`` is monotone in ``L`` (Lindley's recursion).  A
+    run that starts empty at any later slot starts at or below the run from
+    the starting index, whose level there is ``>= 0``, so it stays at or
+    below it to the end of the cycle, where that run is at most
+    ``CAUSALITY_ATOL`` above 0 (checked below).  From a level in
     ``[0, CAUSALITY_ATOL]`` the recurrence is non-expansive, so every start
     lands within ``CAUSALITY_ATOL`` of ``b`` from the next cycle on.  Rounded
     ``+`` and ``max`` are monotone too, so the ordering holds in IEEE
     arithmetic as well.  ``tests/test_buffer.py`` keeps the all-starts run
     as the reference this is checked against.
 
-    Refuses a nonpositive ``alpha``, stored and forwarded masses differing by
-    more than ``CAUSALITY_ATOL`` (the buffer cannot drain), and, as internal
-    inconsistencies, a rotated prefix sum below ``-CAUSALITY_ATOL`` or an
-    occupancy that does not end within ``CAUSALITY_ATOL`` of 0.
+    Refuses a nonpositive or infinite ``alpha``, stored and forwarded
+    masses differing by more than ``CAUSALITY_ATOL`` (the buffer cannot
+    drain), and, as internal inconsistencies, a rotated prefix sum below
+    ``-CAUSALITY_ATOL`` or an occupancy that does not end within
+    ``CAUSALITY_ATOL`` of 0.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     stored, forwarded = float(np.sum(strat.s)), float(np.sum(strat.r))
     if abs(stored - forwarded) > CAUSALITY_ATOL:
         raise ValueError(
@@ -161,14 +168,16 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
     s_prime = np.concatenate((strat.s[start - 1:], strat.s[: start - 1]))
     r_prime = np.concatenate((strat.r[start - 1:], strat.r[: start - 1]))
     a = s_prime - r_prime
-    prefix = np.cumsum(a)
-    if prefix.min() < -CAUSALITY_ATOL:
+    b = np.cumsum(a)
+    low = b.min()
+    if low < -CAUSALITY_ATOL:
         raise ValueError(
-            "internal inconsistency: negative prefix sum "
-            f"{prefix.min()!r} from starting index {start}"
+            f"internal inconsistency: negative prefix sum {low!r} from starting index {start}"
         )
-    levels = accumulate(a.tolist(), lambda level, x: max(level + x, 0.0), initial=0.0)
-    b = np.array(list(levels)[1:])
+    if low < 0:
+        j = int(np.argmax(b < 0))
+        level = float(b[j - 1]) if j else 0.0
+        b[j:] = list(accumulate(a[j:].tolist(), lambda L, x: max(L + x, 0.0), initial=level))[1:]
     if abs(b[-1]) > CAUSALITY_ATOL:
         raise ValueError(
             f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0"
@@ -230,18 +239,25 @@ def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     slots strictly between arrival and departure.  The buffer drains within
     each cycle, so the support is contained in ``{1, ..., n}`` and the total
     mass equals the deferral rate.  The survival factors are one ``cumprod``
-    matrix, arrival slots with storage by ``n`` delays: O(n^2) memory, about
-    0.15 ms at n = 168 and 10 ms at n = 1440.
+    matrix, arrival slots with storage by ``n`` delays, filled in place:
+    O(n^2) memory, about 0.09 ms at n = 168 and 8 ms at n = 1440.
     """
     n = pattern.n
     s = pattern.s_prime
     hazards = forwarding_hazards(pattern)
 
-    # row i: the hazards of the n slots after the i-th arrival slot, in order
+    # row i: the hazards of the n slots after the i-th arrival slot, in order,
+    # from a strided view of the hazards repeated twice (np.ndarray, as
+    # as_strided and sliding_window_view keep ~10 bytes a call in numpy 2.4.6)
     k = np.flatnonzero(s > ZERO_ATOL)
-    h = hazards[(k[:, None] + np.arange(1, n + 1)) % n]
-    survive = np.hstack([np.ones((k.size, 1)), np.cumprod(1.0 - h[:, :-1], axis=1)])
-    pmf = (s[k, None] * survive * h).sum(axis=0)
+    twice = np.concatenate((hazards, hazards))
+    h = np.ndarray((n + 1, n), buffer=twice, strides=twice.strides * 2)[k + 1]
+    terms = np.empty(h.shape)
+    terms[:, 0] = 1.0
+    np.cumprod(1.0 - h[:, :-1], axis=1, out=terms[:, 1:])
+    terms *= s[k, None]
+    terms *= h
+    pmf = terms.sum(axis=0)
 
     expected_unconditional = float((np.arange(1, n + 1) * pmf).sum())
     expected_conditional = expected_unconditional / pattern.phi if pattern.phi > 0 else 0.0

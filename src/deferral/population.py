@@ -35,6 +35,7 @@ from .profiles import (
     SlotScheme,
     TimestampRecord,
     critical_rate,
+    entropy_rows,
 )
 from .strategies import _check_phi, relative_privacy_gain, solve_optimal
 
@@ -378,6 +379,8 @@ def synth_population(
 
 def nearest_rank_percentile(values, pct: float) -> float:
     """Nearest-rank percentile: smallest value covering ``pct`` percent."""
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError(f"percentile pct must lie in [0, 100], got {pct!r}")
     ordered = np.sort(np.asarray(values, dtype=float))
     if ordered.size == 0:
         raise ValueError("percentile of an empty collection")
@@ -420,15 +423,9 @@ class PopulationStudy:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phi", "gain_p10_pct", "gain_p50_pct", "gain_p90_pct"])
-            for k, phi in enumerate(self.phi_grid):
-                writer.writerow(
-                    [
-                        repr(float(phi)),
-                        repr(float(self.gain_percentiles[10][k])),
-                        repr(float(self.gain_percentiles[50][k])),
-                        repr(float(self.gain_percentiles[90][k])),
-                    ]
-                )
+            columns = [self.phi_grid] + [self.gain_percentiles[pct] for pct in (10, 50, 90)]
+            for row in zip(*(col.tolist() for col in columns)):
+                writer.writerow(map(repr, row))
         written.append(path)
 
         path = out_dir / "delay_pmf.csv"
@@ -442,12 +439,11 @@ class PopulationStudy:
         path = out_dir / "aggregate_profiles.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["slot", "p"] + [f"p_prime_phi_{float(phi)!r}" for phi in self.phi_grid]
+            header = ["slot", "p"] + [f"p_prime_phi_{phi!r}" for phi in self.phi_grid.tolist()]
             writer.writerow(header)
-            for i in range(self.scheme.n):
-                row = [i + 1, repr(float(self.aggregate_before[i]))]
-                row += [repr(float(self.aggregate_after[k][i])) for k in range(len(self.phi_grid))]
-                writer.writerow(row)
+            columns = zip(self.aggregate_before.tolist(), *self.aggregate_after.tolist())
+            for i, row in enumerate(columns, start=1):
+                writer.writerow([i, *map(repr, row)])
         written.append(path)
 
         return written
@@ -464,18 +460,13 @@ def _write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
         hi = lo + 1.0
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     total = counts.sum()
+    pmf = (counts / total).tolist() if total else [0.0] * bins
+    edges = edges.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"{label}_bin_left", f"{label}_bin_right", "count", "pmf"])
-        for k in range(bins):
-            writer.writerow(
-                [
-                    repr(float(edges[k])),
-                    repr(float(edges[k + 1])),
-                    int(counts[k]),
-                    repr(float(counts[k] / total)) if total else repr(0.0),
-                ]
-            )
+        for k, count in enumerate(counts.tolist()):
+            writer.writerow([repr(edges[k]), repr(edges[k + 1]), count, repr(pmf[k])])
 
 
 def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
@@ -513,12 +504,9 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     for ui, user in enumerate(user_ids):
         prof = users[user]
         phi_crit[ui] = critical_rate(prof)
-        bits = np.zeros(phi_grid.size)
         for k, phi in enumerate(phi_grid):
-            strat = solve_optimal(prof, float(phi))  # clamps at the critical rate
-            t_at[k, ui] = strat.apparent()
-            bits[k] = strat.entropy_bits()
-        gain_curves[ui] = relative_privacy_gain(prof, bits)
+            t_at[k, ui] = solve_optimal(prof, float(phi)).apparent()  # clamps at the critical rate
+        gain_curves[ui] = relative_privacy_gain(prof, entropy_rows(t_at[:, ui]))
         strat_crit = solve_optimal(prof, phi_crit[ui])
         pattern = steady_state(strat_crit, counts[ui])
         cap_msgs[ui] = buffer_capacity(pattern)

@@ -12,8 +12,8 @@ Every function here is pure and safe to call from multiple threads.
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +103,7 @@ class ActivityProfile:
     scheme: SlotScheme
     q: np.ndarray
     count: float = 0.0
+    _critical_rate: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = _as_readonly_array(self.q)
@@ -203,10 +204,43 @@ def build_profile(records: Sequence[TimestampRecord], scheme: SlotScheme) -> Act
 
 
 def entropy(p) -> float:
-    """Shannon entropy of a PMF in bits, with the convention 0*log(0) = 0."""
-    p = _validate_pmf(p)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    """Shannon entropy of a PMF in bits, with the convention 0*log(0) = 0;
+    the one-row case of :func:`entropy_rows`."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        _validate_pmf(p)  # raises, naming the shape
+    return float(entropy_rows(p[None])[0])
+
+
+def entropy_rows(P) -> np.ndarray:
+    """Shannon entropies in bits of the U rows of a U x n array of PMFs.
+
+    All rows are checked at once (row sums and minima); ``_validate_pmf``
+    names the first row that fails.  Rows without zeros are summed as one
+    array, which numpy reduces row by row with the pairwise blocking of a
+    1-d ``sum``, so each entropy is that of its row alone, bit for bit.
+    Rows with zeros sum their positive entries one row at a time, as the
+    zeros would shift that blocking.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"entropy_rows needs a U x n array of PMFs, got shape {P.shape}")
+    with np.errstate(all="ignore"):
+        low = P.min(axis=1, initial=np.inf)  # inf for an empty row, which fails the sum
+        off = np.abs(P.sum(axis=1) - 1.0)
+    if not (off.max(initial=0.0) <= PMF_ATOL and low.min(initial=0.0) >= 0):
+        for row in P:
+            _validate_pmf(row)
+    if low.min(initial=1.0) > 0:
+        return -(P * np.log2(P)).sum(axis=1)
+    dense = low > 0
+    bits = np.empty(P.shape[0])
+    X = P[dense]
+    bits[dense] = -(X * np.log2(X)).sum(axis=1)
+    for i in np.flatnonzero(~dense):
+        nz = P[i][P[i] > 0]
+        bits[i] = -(nz * np.log2(nz)).sum()
+    return bits
 
 
 def kl_divergence(t, p) -> float:
@@ -240,5 +274,8 @@ def critical_rate(profile: ActivityProfile) -> float:
 
     Equals the total variation distance between the uniform PMF and the
     actual profile; zero exactly when the profile is already uniform.
+    Computed once per profile, on first use.
     """
-    return float(0.5 * np.abs(1.0 / profile.n - profile.q).sum())
+    if profile._critical_rate is None:
+        profile._critical_rate = float(0.5 * np.abs(1.0 / profile.n - profile.q).sum())
+    return profile._critical_rate

@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .profiles import ActivityProfile, critical_rate, entropy
+from .profiles import ActivityProfile, critical_rate, entropy, entropy_rows
 
 #: Strategy components closer to zero than this are snapped to zero.
 ZERO_ATOL = 1e-12
@@ -434,7 +434,8 @@ def privacy_deferral_curve(
     The curve is nondecreasing and concave in ``phi`` and saturates at
     ``log2(n)`` once ``phi`` reaches the critical rate.  Every rate is
     checked before any is solved; then one :func:`waterfill` call solves
-    the grid, with the arithmetic of ``solve_optimal(profile, phi)``.
+    the grid, with the arithmetic of ``solve_optimal(profile, phi)``, and
+    one :func:`entropy_rows` call rates its apparent profiles.
     """
     requested = [_check_phi(phi) for phi in phis]
     if not requested:
@@ -442,6 +443,6 @@ def privacy_deferral_curve(
     q = profile.q
     theta_lo, theta_hi = waterfill(q[None, :], np.minimum([requested], critical_rate(profile)))
     s, r = map(_snap, _strategy_arrays(q, theta_lo.T, theta_hi.T))
-    bits = [entropy(t) for t in _apparent(q, s, r)]
-    gains = relative_privacy_gain(profile, np.array(bits)).tolist()
-    return [PrivacyCurvePoint(*point) for point in zip(requested, bits, gains)]
+    bits = entropy_rows(_apparent(q, s, r))
+    gains = relative_privacy_gain(profile, bits).tolist()
+    return [PrivacyCurvePoint(*point) for point in zip(requested, bits.tolist(), gains)]

@@ -86,6 +86,14 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="alpha"):
             steady_state(single_flow_fixture(), 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(float("inf"), "alpha must be finite, got inf"), (float("nan"), "alpha must be positive, got nan")],
+    )
+    def test_rejects_non_finite_alpha(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            steady_state(single_flow_fixture(), alpha)
+
     def test_prefix_sums_nonnegative_for_solver_outputs(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -345,6 +353,18 @@ def ref_delay_pmf(pattern):
     return pmf
 
 
+def ref_vectorized_delay_pmf(pattern):
+    """The delay PMF as computed before the in-place fill: a ``% n`` gather
+    of the hazards and separate survival and product arrays."""
+    n = pattern.n
+    s = pattern.s_prime
+    hazards = forwarding_hazards(pattern)
+    k = np.flatnonzero(s > ZERO_ATOL)
+    h = hazards[(k[:, None] + np.arange(1, n + 1)) % n]
+    survive = np.hstack([np.ones((k.size, 1)), np.cumprod(1.0 - h[:, :-1], axis=1)])
+    return (s[k, None] * survive * h).sum(axis=0)
+
+
 def outcome(fn, *args):
     """``("ok", result)`` or ``("raise", message)`` for a ValueError."""
     try:
@@ -405,6 +425,11 @@ class TestScalarReference:
     @example(kind="solver", n=1440, seed=1440, fraction=0.6)
     # sum(s) exceeds sum(r) by 2e-17, so the last level is snapped to 0
     @example(kind="one-slot", n=168, seed=0, fraction=2.0**-24)
+    # the first negative prefix sum, where the clamped recurrence takes
+    # over from the prefix sums: at the first slot, mid-cycle, the last slot
+    @example(kind="dense", n=168, seed=169, fraction=2.0**-24)
+    @example(kind="near-uniform", n=24, seed=35, fraction=0.3)
+    @example(kind="solver", n=168, seed=0, fraction=0.5)
     def test_matches_scalar_reference(self, kind, n, seed, fraction):
         strat = drawn_strategy(kind, n, seed, fraction)
         got = outcome(steady_state, strat, 500.0)
@@ -428,6 +453,7 @@ class TestScalarReference:
             return
         assert np.array_equal(got[1], want[1])
         dist = delay_distribution(pattern)
+        assert np.array_equal(dist.pmf, ref_vectorized_delay_pmf(pattern))
         assert np.abs(dist.pmf - ref_delay_pmf(pattern)).max() <= 1e-15
         # Little's law: a message delayed d slots is in d end-of-slot occupancies
         mean = dist.expected_unconditional

@@ -220,6 +220,14 @@ class TestBufferAnalyze:
         assert sum(data["delay"]["pmf"]) == pytest.approx(0.1, abs=1e-9)
         assert data["capacity_messages"] == pytest.approx(600 * max(data["b"]))
 
+    def test_refuses_infinite_alpha(self, tmp_path, capsys):
+        prof_path = save_profile(tmp_path, [0.5, 0.3, 0.2])
+        out = tmp_path / "buffer.json"
+        assert main(["buffer", "analyze", "--profile", prof_path, "--phi", "0.1",
+                     "--alpha", "inf", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "alpha must be finite, got inf", "type": "ValueError"}
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_simulate_and_compare(self, tmp_path):

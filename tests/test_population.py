@@ -35,7 +35,7 @@ from deferral.profiles import (
     critical_rate,
     uniform_pmf,
 )
-from deferral.strategies import solve_optimal
+from deferral.strategies import privacy_deferral_curve, solve_optimal
 
 HOUR = 3600.0
 
@@ -762,6 +762,15 @@ class TestNearestRankPercentile:
         with pytest.raises(ValueError):
             nearest_rank_percentile([], 50)
 
+    @pytest.mark.parametrize("pct", [150, 100.5, -5, -1e-9, float("nan"), float("inf")])
+    def test_refuses_pct_outside_0_100(self, pct):
+        with pytest.raises(ValueError, match=r"pct must lie in \[0, 100\]"):
+            nearest_rank_percentile([15, 20, 35], pct)
+
+    def test_bounds_are_inclusive(self):
+        assert nearest_rank_percentile([15, 20, 35], 0) == 15
+        assert nearest_rank_percentile([15, 20, 35], 100.0) == 35
+
 
 class TestStudy:
     def test_all_uniform_population(self):
@@ -777,6 +786,19 @@ class TestStudy:
         # critical rate 0: nothing is delayed, and the mean delay is no 0/0
         assert np.array_equal(result.delay_conditional_slots, np.zeros(5))
         assert np.array_equal(result.capacity_messages, np.zeros(5))
+
+    def test_snapped_away_mass_is_refused_as_before(self):
+        # at rate 1e-9, r spreads over 1438 empty slots and is snapped to 0,
+        # so the apparent profile is short of its mass: the study and the
+        # curve refuse it with the same message as the per-rate entropies did
+        q = np.zeros(1440)
+        q[:2] = [0.34, 1 - 0.34]
+        users = {"u": ActivityProfile(SlotScheme(1440, 86400.0), q, count=100.0)}
+        message = r"^not a PMF: input sums to 0\.9999999989999999$"
+        with pytest.raises(ValueError, match=message):
+            study(users, [0.1, 1e-9])
+        with pytest.raises(ValueError, match=message):
+            privacy_deferral_curve(users["u"], [0.1, 1e-9])
 
     @pytest.mark.parametrize("slots", [24, 168])
     def test_delays_match_delay_distribution(self, slots):

@@ -2,14 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deferral.profiles import (
+    PMF_ATOL,
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
+    _validate_pmf,
     build_profile,
     critical_rate,
     entropy,
+    entropy_rows,
     kl_divergence,
     total_variation,
     uniform_pmf,
@@ -188,6 +193,68 @@ class TestEntropy:
             entropy([0.5, bad, 0.5])
 
 
+def ref_entropy(p) -> float:
+    """Entropy of one PMF at a time, as computed before the row kernel."""
+    p = _validate_pmf(p)
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+ROW_KINDS = ("dirichlet", "zeros", "one-hot", "uniform", "nan", "negative", "off-mass")
+
+
+def drawn_row(kind, n, rng):
+    if kind == "one-hot":
+        p = np.zeros(n)
+        p[rng.integers(n)] = 1.0
+        return p
+    if kind == "uniform":
+        return uniform_pmf(n)
+    p = rng.dirichlet(np.full(n, rng.choice([0.05, 1.0, 50.0])))
+    i = rng.integers(n)
+    if kind == "zeros":
+        p[rng.random(n) < rng.uniform(0.1, 0.9)] = 0.0
+        p[i] += 1.0 - p.sum()
+    elif kind == "nan":
+        p[i] = np.nan
+    elif kind == "negative":
+        p[i] = -rng.choice([1e-300, 1e-9, 0.3])
+    elif kind == "off-mass":
+        p[i] += rng.choice([-1.0, 1.0]) * rng.choice([0.5, 1.5, 1e6]) * PMF_ATOL
+    return p
+
+
+class TestEntropyRows:
+    # n straddles numpy's unroll-by-8 and its 128-element pairwise blocks
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 168, 1440]),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=24, kinds=[], seed=0)
+    @example(n=1440, kinds=["dirichlet"], seed=1)
+    @example(n=9, kinds=["zeros", "dirichlet", "nan", "negative"], seed=2)
+    def test_matches_one_row_reference(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        P = np.array([drawn_row(kind, n, rng) for kind in kinds]).reshape(len(kinds), n)
+        try:
+            want = np.array([ref_entropy(row) for row in P])
+        except ValueError as exc:  # the first row that is not a PMF is named
+            with pytest.raises(ValueError) as got:
+                entropy_rows(P)
+            assert str(got.value) == str(exc)
+            return
+        got = entropy_rows(P)
+        assert got.dtype == want.dtype and got.shape == (len(kinds),)
+        assert got.tobytes() == want.tobytes()
+        assert np.array([entropy(row) for row in P]).tobytes() == want.tobytes()
+
+    def test_refuses_a_vector(self):
+        with pytest.raises(ValueError, match="U x n"):
+            entropy_rows(uniform_pmf(4))
+
+
 class TestKLDivergence:
     def test_identity_is_zero(self):
         p = np.array([0.2, 0.5, 0.3])
@@ -241,6 +308,13 @@ class TestCriticalRate:
     def test_three_slot_example(self):
         prof = ActivityProfile(hourly_scheme(3), [0.5, 0.3, 0.2])
         assert critical_rate(prof) == pytest.approx(1 / 6, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 24, 168, 1440])
+    def test_computed_once_per_profile(self, n):
+        prof = ActivityProfile(hourly_scheme(n), np.random.default_rng(n).dirichlet(np.ones(n)))
+        first = critical_rate(prof)
+        assert first == float(0.5 * np.abs(1.0 / n - prof.q).sum())
+        assert critical_rate(prof) is first  # the stored value, not a recomputed one
 
 
 class TestProperties:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deferral import profiles, strategies
-from deferral.profiles import ActivityProfile, SlotScheme, critical_rate, entropy, uniform_pmf
+from deferral.profiles import (
+    ActivityProfile, SlotScheme, critical_rate, entropy, entropy_rows, uniform_pmf,
+)
 from deferral.strategies import (
     MASS_ATOL,
     ZERO_ATOL,
@@ -284,15 +286,19 @@ class TestValidateOnce:
     def test_one_entropy_per_rate_plus_one_per_profile(self, monkeypatch):
         calls = []
 
-        def counted(p):
-            calls.append(p)
-            return entropy(p)
+        def counted(name, fn):
+            def wrapper(p):
+                calls.append((name, np.shape(p)))
+                return fn(p)
+            return wrapper
 
+        # entropy is itself one entropy_rows call, left uncounted
         for module in (profiles, strategies):
-            monkeypatch.setattr(module, "entropy", counted)
+            monkeypatch.setattr(module, "entropy", counted("entropy", entropy))
+        monkeypatch.setattr(strategies, "entropy_rows", counted("entropy_rows", entropy_rows))
         grid = np.linspace(0.05, 0.7, 14)
         privacy_deferral_curve(random_profiles(24, 1, seed=3)[0], grid)
-        assert len(calls) == grid.size + 1
+        assert sorted(calls) == [("entropy", (24,)), ("entropy_rows", (grid.size, 24))]
 
     def test_apparent_is_cached_and_read_only(self):
         prof = random_profiles(24, 1, seed=4)[0]
