@@ -33,6 +33,10 @@ from .strategies import (
 _PERIODS = {"day": SlotScheme.day, "week": SlotScheme.week}
 
 
+def _scheme(args) -> SlotScheme:
+    return _PERIODS[args.period](args.slots)
+
+
 def _parse_phi_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, steps = spec.split(":")
@@ -53,7 +57,7 @@ def _write_json(path, payload) -> None:
 
 
 def _cmd_profile_build(args) -> int:
-    scheme = _PERIODS[args.period](args.slots)
+    scheme = _scheme(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -126,7 +130,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_population_study(args) -> int:
-    scheme = _PERIODS[args.period](args.slots)
+    scheme = _scheme(args)
     phi_grid = _parse_phi_grid(args.phi_grid)  # refused before a long ingest
     if args.synth is not None:
         users = synth_population(
@@ -155,21 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privacy-preserving message deferral: strategies, buffers, simulations.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    # The options of a timestamp log and of its slots, shared by both readers.
+    log_options = argparse.ArgumentParser(add_help=False)
+    log_options.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    log_options.add_argument("--slots", type=int, default=24)
+    log_options.add_argument("--period", choices=list(_PERIODS), default="day")
+    log_options.add_argument(
+        "--tz-offset", type=float, default=0.0,
+        help="seconds added to every timestamp (shift UTC to local time)",
+    )
 
     p_profile = top.add_parser("profile", help="activity profile tools")
     profile_sub = p_profile.add_subparsers(dest="subcommand", required=True)
-    p_build = profile_sub.add_parser("build", help="build a profile from a timestamp log")
-    p_build.add_argument("--input", required=True)
-    p_build.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p_build.add_argument("--slots", type=int, default=24)
-    p_build.add_argument("--period", choices=list(_PERIODS), default="day")
-    p_build.add_argument("--out", required=True)
-    p_build.add_argument(
-        "--tz-offset",
-        type=float,
-        default=0.0,
-        help="seconds added to every timestamp (shift UTC to local time)",
+    p_build = profile_sub.add_parser(
+        "build", parents=[log_options], help="build a profile from a timestamp log"
     )
+    p_build.add_argument("--input", required=True)
+    p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=_cmd_profile_build)
 
     p_strategy = top.add_parser("strategy", help="deferral strategy tools")
@@ -218,20 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pop = top.add_parser("population", help="population experiment tools")
     pop_sub = p_pop.add_subparsers(dest="subcommand", required=True)
-    p_study = pop_sub.add_parser("study", help="run the population study")
+    p_study = pop_sub.add_parser("study", parents=[log_options], help="run the population study")
     source = p_study.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="timestamp log with many users")
     source.add_argument("--synth", type=int, metavar="N", help="synthesize N users")
     p_study.add_argument("--phi-grid", required=True, metavar="A:B:STEPS")
     p_study.add_argument("--out-dir", required=True)
-    p_study.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p_study.add_argument("--slots", type=int, default=24)
-    p_study.add_argument("--period", choices=list(_PERIODS), default="day")
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--concentration", type=float, default=1.0)
     p_study.add_argument("--mean-messages", type=float, default=1879.42)
     p_study.add_argument("--min-count", type=int, default=1)
-    p_study.add_argument("--tz-offset", type=float, default=0.0)
     p_study.set_defaults(func=_cmd_population_study)
 
     return parser

@@ -361,12 +361,12 @@ def synth_population(
     """
     if scheme is None:
         scheme = SlotScheme.day()
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users!r}")
-    if not concentration > 0:
-        raise ValueError(f"concentration must be positive, got {concentration!r}")
-    if not mean_messages > 0:
-        raise ValueError(f"mean_messages must be positive, got {mean_messages!r}")
+    if isinstance(n_users, bool) or not isinstance(n_users, (int, np.integer)) or n_users < 1:
+        raise ValueError(f"n_users must be an integer >= 1, got {n_users!r}")
+    if not 0 < concentration < math.inf:
+        raise ValueError(f"concentration must be positive and finite, got {concentration!r}")
+    if not 0 < mean_messages < math.inf:
+        raise ValueError(f"mean_messages must be positive and finite, got {mean_messages!r}")
     rng = np.random.default_rng(seed)
     width = max(3, len(str(n_users - 1)))
     profiles = {}

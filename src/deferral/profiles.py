@@ -155,7 +155,7 @@ def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"not a PMF: {name} must be a nonempty 1-d vector")
-    # Accept on two silent reductions, as in strategies.feasibility_violation.
+    # Accept on two silent reductions (feasibility_violation accepts on five).
     with np.errstate(all="ignore"):
         if abs(p.sum() - 1.0) <= PMF_ATOL and p.min() >= 0:
             return p

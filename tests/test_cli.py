@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import json
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from deferral.cli import main
+from deferral.cli import build_parser, main
 from deferral.profiles import ActivityProfile, SlotScheme, uniform_pmf
 
 HOUR = 3600
@@ -367,6 +368,16 @@ class TestPopulationStudy:
         ]
         assert not out.exists()
 
+    def test_infinite_concentration_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["population", "study", "--synth", "3", "--concentration", "inf",
+                     "--phi-grid", "0:0.5:3", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "concentration must be positive and finite, got inf", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
     def test_two_slot_delays_equal_to_the_last_bits(self, tmp_path):
         # every conditional delay is half a day, give or take a few ulps
         out_dir = tmp_path / "study"
@@ -397,6 +408,25 @@ class TestPopulationStudy:
         for name in ("phicrit_hist.csv", "gain_percentiles.csv", "delay_pmf.csv",
                      "capacity_pmf.csv", "aggregate_profiles.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+class TestParser:
+    def test_log_readers_share_their_options(self):
+        def command(*path):
+            parser = build_parser()
+            for name in path:
+                (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+                parser = sub.choices[name]
+            return {
+                action.dest: (action.option_strings, action.type, action.choices,
+                              action.default, action.help)
+                for action in parser._actions
+                if action.dest in ("format", "slots", "period", "tz_offset")
+            }
+
+        build, study = command("profile", "build"), command("population", "study")
+        assert len(build) == 4 and build == study
+        assert build["tz_offset"][-1].startswith("seconds added to every timestamp")
 
 
 class TestEntryPoint:

@@ -724,6 +724,21 @@ class TestSynthPopulation:
         with pytest.raises(ValueError):
             synth_population(3, mean_messages=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"concentration": math.inf}, "concentration must be positive and finite, got inf"),
+            ({"mean_messages": math.inf}, "mean_messages must be positive and finite, got inf"),
+            ({"mean_messages": math.nan}, "mean_messages must be positive and finite, got nan"),
+            ({"n_users": True}, "n_users must be an integer >= 1, got True"),
+            ({"n_users": 2.0}, "n_users must be an integer >= 1, got 2.0"),
+        ],
+    )
+    def test_parameters_refused_by_name(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            synth_population(**{"n_users": 2, **kwargs})
+        assert str(info.value) == message
+
     def test_large_concentration_approaches_uniform(self):
         from deferral.profiles import critical_rate
 

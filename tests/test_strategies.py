@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deferral import profiles, strategies
@@ -486,12 +486,12 @@ def ref_feasibility_violation(q, s, r, phi):
     if np.any(r < 0):
         i = int(np.argmin(r))
         return f"r[{i}] = {r[i]!r} is negative"
-    if abs(s.sum() - phi) > MASS_ATOL:
+    if not abs(s.sum() - phi) <= MASS_ATOL:  # NaN fails
         return f"sum(s) = {s.sum()!r} differs from phi = {phi!r}"
-    if abs(r.sum() - phi) > MASS_ATOL:
+    if not abs(r.sum() - phi) <= MASS_ATOL:
         return f"sum(r) = {r.sum()!r} differs from phi = {phi!r}"
     over = s - q
-    if np.any(over > ZERO_ATOL):
+    if not np.all(over <= ZERO_ATOL):
         i = int(np.argmax(over))
         return f"s[{i}] = {s[i]!r} exceeds q[{i}] = {q[i]!r}"
     t = q - s + r
@@ -666,3 +666,71 @@ class TestFastAcceptMatchesReference:
     )
     def test_edge_pmfs(self, p):
         assert_same_pmf_outcome(p)
+
+
+class TestNaNIsInfeasible:
+    """A NaN rate or a NaN entry of ``q`` is named, not accepted."""
+
+    def test_nan_rate(self):
+        zeros = np.zeros(3)
+        assert feasibility_violation(THREE, zeros, zeros, float("nan")) == (
+            f"sum(s) = {np.float64(0.0)!r} differs from phi = nan"
+        )
+        with pytest.raises(ValueError, match=r"^infeasible strategy: sum\(s\) .* phi = nan$"):
+            DeferralStrategy(s=zeros, r=zeros, phi=float("nan"), q_ref=profile(THREE))
+
+    def test_nan_in_q(self):
+        zeros = np.zeros(3)
+        assert feasibility_violation([0.5, float("nan"), 0.5], zeros, zeros, 0.0) == (
+            f"s[1] = {np.float64(0.0)!r} exceeds q[1] = {np.float64('nan')!r}"
+        )
+
+
+def _ulps_around(x, k=3):
+    """``x`` and the ``k`` floats on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+TINY = 5e-324  # the smallest subnormal
+HUGE = float(np.finfo(float).max)
+EDGE_VALUES = (
+    [0.0, -0.0, TINY, -TINY, 1e308, -1e308, HUGE, -HUGE]
+    + _ulps_around(ZERO_ATOL) + _ulps_around(-ZERO_ATOL)
+)
+SLOT_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+FORWARDED = st.one_of(
+    st.sampled_from([v for v in EDGE_VALUES if v >= 0]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+class TestImpliedApparentCheck:
+    """The fast accept has no ``(q - s + r).min() >= -ZERO_ATOL`` reduction:
+    for finite entries, ``r.min() >= 0`` and ``(s - q).max() <= ZERO_ATOL``
+    imply it.  ``q - s`` is exactly ``-(s - q)``, and adding ``r >= 0``
+    rounds to no less."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(slots=st.lists(st.tuples(SLOT_VALUES, SLOT_VALUES, FORWARDED), min_size=1, max_size=8))
+    @example(slots=[(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)])
+    @example(slots=[(TINY, 0.0, 0.0), (0.0, TINY, 0.0), (-TINY, 0.0, TINY), (0.0, -TINY, TINY)])
+    @example(slots=[(0.0, v, 0.0) for v in _ulps_around(ZERO_ATOL)])
+    @example(slots=[(0.0, v, TINY) for v in _ulps_around(ZERO_ATOL)])
+    @example(slots=[(-v, 0.0, 0.0) for v in _ulps_around(ZERO_ATOL)])
+    @example(slots=[(1.0, 1.0 + v, 0.0) for v in _ulps_around(ZERO_ATOL)])
+    @example(slots=[(0.0, v, 0.0) for v in _ulps_around(-ZERO_ATOL)])
+    @example(slots=[(1e308, 1e308, 0.0), (-1e308, 1e308, 1e308), (1e308, -1e308, HUGE)])
+    @example(slots=[(HUGE, -HUGE, 0.0), (-HUGE, HUGE, HUGE), (-HUGE, -HUGE, TINY)])
+    def test_apparent_bound_follows(self, slots):
+        a, b, r = (np.array(col) for col in zip(*slots))
+        with np.errstate(all="ignore"):  # b - a may overflow
+            swap = b - a > ZERO_ATOL  # order each pair so that s - q <= ZERO_ATOL
+            q, s = np.where(swap, b, a), np.where(swap, a, b)
+            assert r.min() >= 0 and (s - q).max() <= ZERO_ATOL
+            assert (q - s + r).min() >= -ZERO_ATOL
