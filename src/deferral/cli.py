@@ -12,7 +12,6 @@ inputs and seeds.
 """
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -21,7 +20,7 @@ import numpy as np
 
 from .buffer import analyze_buffer
 from .population import ingest, study, synth_population
-from .profiles import ActivityProfile, SlotScheme
+from .profiles import ActivityProfile, SlotScheme, _write_json, _write_table
 from .simulate import SimConfig, empirical_vs_analytic, run_simulation
 from .strategies import (
     _check_phi,
@@ -48,12 +47,6 @@ def _parse_phi_grid(spec: str) -> np.ndarray:
     for phi in grid:
         _check_phi(phi)
     return grid
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _cmd_profile_build(args) -> int:
@@ -85,11 +78,8 @@ def _cmd_strategy_solve(args) -> int:
 def _cmd_curve(args) -> int:
     profile = ActivityProfile.load(args.profile)
     points = privacy_deferral_curve(profile, _parse_phi_grid(args.phi_grid))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "entropy_bits", "gain_pct"])
-        for pt in points:
-            writer.writerow([repr(pt.phi), repr(pt.entropy_bits), repr(pt.gain_pct)])
+    rows = ([pt.phi, pt.entropy_bits, pt.gain_pct] for pt in points)
+    _write_table(args.out, ["phi", "entropy_bits", "gain_pct"], rows)
     return 0
 
 

@@ -34,6 +34,7 @@ from .profiles import (
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
+    _write_table,
     critical_rate,
     entropy_rows,
 )
@@ -367,6 +368,10 @@ def synth_population(
         raise ValueError(f"concentration must be positive and finite, got {concentration!r}")
     if not 0 < mean_messages < math.inf:
         raise ValueError(f"mean_messages must be positive and finite, got {mean_messages!r}")
+    if not math.isfinite(scheme.n * concentration):  # the Dirichlet draw's gamma sum overflows
+        raise ValueError(f"concentration * {scheme.n} slots overflows, got {concentration!r}")
+    if mean_messages > 1e18:  # numpy's Poisson sampler refuses means above about 9.2e18
+        raise ValueError(f"mean_messages must be at most 1e18, got {mean_messages!r}")
     rng = np.random.default_rng(seed)
     width = max(3, len(str(n_users - 1)))
     profiles = {}
@@ -420,12 +425,9 @@ class PopulationStudy:
         written.append(path)
 
         path = out_dir / "gain_percentiles.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi", "gain_p10_pct", "gain_p50_pct", "gain_p90_pct"])
-            columns = [self.phi_grid] + [self.gain_percentiles[pct] for pct in (10, 50, 90)]
-            for row in zip(*(col.tolist() for col in columns)):
-                writer.writerow(map(repr, row))
+        header = ["phi", "gain_p10_pct", "gain_p50_pct", "gain_p90_pct"]
+        columns = [self.phi_grid] + [self.gain_percentiles[pct] for pct in (10, 50, 90)]
+        _write_table(path, header, zip(*(col.tolist() for col in columns)))
         written.append(path)
 
         path = out_dir / "delay_pmf.csv"
@@ -437,13 +439,9 @@ class PopulationStudy:
         written.append(path)
 
         path = out_dir / "aggregate_profiles.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["slot", "p"] + [f"p_prime_phi_{phi!r}" for phi in self.phi_grid.tolist()]
-            writer.writerow(header)
-            columns = zip(self.aggregate_before.tolist(), *self.aggregate_after.tolist())
-            for i, row in enumerate(columns, start=1):
-                writer.writerow([i, *map(repr, row)])
+        header = ["slot", "p"] + [f"p_prime_phi_{phi!r}" for phi in self.phi_grid.tolist()]
+        columns = [range(1, self.scheme.n + 1), self.aggregate_before.tolist()]
+        _write_table(path, header, zip(*columns, *self.aggregate_after.tolist()))
         written.append(path)
 
         return written
@@ -459,14 +457,10 @@ def _write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
     if np.any(edges[:-1] >= edges[1:]):  # too narrow a range (or none) to split
         hi = lo + 1.0
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    total = counts.sum()
-    pmf = (counts / total).tolist() if total else [0.0] * bins
+    pmf = (counts / max(counts.sum(), 1)).tolist()  # all 0.0 if no value is in range
     edges = edges.tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{label}_bin_left", f"{label}_bin_right", "count", "pmf"])
-        for k, count in enumerate(counts.tolist()):
-            writer.writerow([repr(edges[k]), repr(edges[k + 1]), count, repr(pmf[k])])
+    header = [f"{label}_bin_left", f"{label}_bin_right", "count", "pmf"]
+    _write_table(path, header, zip(edges[:-1], edges[1:], counts.tolist(), pmf))
 
 
 def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:

@@ -1,15 +1,16 @@
 """Activity profiles over cyclic time slots, and the metrics defined on them.
 
 A user's online activity is modeled as a PMF ``q`` over ``n`` time slots that
-tile a cyclic period (a day, a week, ...).  This module builds such profiles
-from timestamped message logs and provides the information-theoretic
-quantities the rest of the library is built on: Shannon entropy, KL
-divergence, total variation distance and the critical deferral rate.
+tile a cyclic period (a day, a week, ...).  :func:`build_profile` bins
+in-memory records into one (``population.ingest`` reads logs).  This module
+also has the information-theoretic quantities the library is built on:
+entropy, KL divergence, total variation and the critical deferral rate.
 
 All logarithms are base 2; entropy and divergence are reported in bits.
 Every function here is pure and safe to call from multiple threads.
 """
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,17 @@ PMF_ATOL = 1e-9
 
 DAY_SECONDS = 86_400.0
 WEEK_SECONDS = 7 * 86_400.0
+
+
+def _write_table(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _as_readonly_array(values) -> np.ndarray:
@@ -141,9 +153,7 @@ class ActivityProfile:
         return cls(scheme=scheme, q=data["q"], count=float(data.get("count", 0.0)))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ActivityProfile":
@@ -231,8 +241,6 @@ def entropy_rows(P) -> np.ndarray:
     if not (off.max(initial=0.0) <= PMF_ATOL and low.min(initial=0.0) >= 0):
         for row in P:
             _validate_pmf(row)
-    if low.min(initial=1.0) > 0:
-        return -(P * np.log2(P)).sum(axis=1)
     dense = low > 0
     bits = np.empty(P.shape[0])
     X = P[dense]

@@ -29,9 +29,9 @@ than the fixed overhead of one ``multivariate_hypergeometric`` call; wider
 draws, and draws from 10**9 or more buffered messages (which numpy refuses),
 make that call.  Both run the same sampler with the same arguments in the
 same order, so they draw the same counts from the same random numbers and
-seeded outputs do not depend on which one a release takes.  Releases of the
-whole buffer or from one arrival slot are forced and draw nothing (numpy's
-draw would consume no random numbers there either).  As every cycle drains,
+seeded outputs do not depend on which one a release takes.  A release of the
+whole buffer or from one arrival slot is forced: the ``fifo`` walk takes it,
+consuming no random numbers (nor would numpy's draw).  As every cycle drains,
 a cycle's delay sum is ``sum_j j*released_j - sum_i i*stored_i`` and its
 delayed count ``sum(stored)``; the occupancy after a slot is the running
 buffer level, and mean occupancy and posted counts follow from run totals.
@@ -235,12 +235,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
                     take = int(residue)  # <= level: the residue stays in [0, 1) between slots
                     acc[j] = residue - take
                 if take:
-                    # releasing the whole buffer, or from one slot, is forced
-                    if take == level:
-                        taken = [(i, held[i]) for i in live]
-                    elif len(live) == 1:
-                        taken = [(live[0], take)]
-                    elif uniform:
+                    if uniform and take < level and len(live) > 1:
                         counts = [held[i] for i in live]
                         if len(live) <= _SCALAR_GROUPS and level < _MVHG_LIMIT:
                             drawn = _marginal_draw(hypergeometric, counts, level, take)

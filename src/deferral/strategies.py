@@ -368,9 +368,9 @@ def solve_grid_oracle(
     reachable exactly when ``TV(t, q) <= phi``: moving mass ``TV(t, q)``
     realizes it, and any slack can be burned by storing and re-forwarding in
     the same slot.)  Intended for small alphabets; the grid has
-    ``C(1/step + n - 1, n - 1)`` points, of which only the block with
-    ``|t_0 - q_0| <= phi`` is scanned: every reachable ``t`` has
-    ``|t_i - q_i| <= TV(t, q)``, so the scan stays exhaustive.
+    ``C(1/step + n - 1, n - 1)`` points (over 10**7 are refused), of which
+    only the block with ``|t_0 - q_0| <= phi`` is scanned: every reachable
+    ``t`` has ``|t_i - q_i| <= TV(t, q)``, so the scan stays exhaustive.
 
     Returns
     -------
@@ -382,6 +382,9 @@ def solve_grid_oracle(
     if n > 4:
         raise ValueError(f"grid oracle is only meant for n <= 4, got n = {n}")
     steps = round(1.0 / step)
+    points = math.comb(max(steps, 0) + n - 1, n - 1)  # a negative step enumerates nothing
+    if points > 10**7:  # n = 4 at step 1e-3 has 1.7e8 points, over 10 GB
+        raise ValueError(f"grid oracle needs {points:,} points at step {step!r}, over 10**7")
     grid, ent, first = _candidate_grid(n, steps)
     # A margin wider than the feasibility test's: rounding drops no point.
     lo, hi = np.searchsorted(first, profile.q[0] + np.array([-1.0, 1.0]) * (eff + 1e-9))

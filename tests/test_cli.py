@@ -378,6 +378,16 @@ class TestPopulationStudy:
         ]
         assert not out.exists()
 
+    def test_huge_mean_messages_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["population", "study", "--synth", "3", "--mean-messages", "1e19",
+                     "--phi-grid", "0:0.5:3", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "mean_messages must be at most 1e18, got 1e+19", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
     def test_two_slot_delays_equal_to_the_last_bits(self, tmp_path):
         # every conditional delay is half a day, give or take a few ulps
         out_dir = tmp_path / "study"
@@ -447,6 +457,29 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "profile" in proc.stdout
         assert "simulate" in proc.stdout
+
+    def test_no_output_depends_on_the_locale_encoding(self, tmp_path):
+        # these flags turn a file opened without an encoding into an error exit
+        log = write_log(tmp_path / "log.csv", [("u", 600 + HOUR * h) for h in range(30)])
+        prof = save_profile(tmp_path, [0.5, 0.3, 0.2])
+        commands = [
+            ["profile", "build", "--input", log, "--out", "p.json"],
+            ["strategy", "solve", "--profile", prof, "--phi", "0.1", "--out", "s.json"],
+            ["curve", "--profile", prof, "--phi-grid", "0:0.2:3", "--out", "c.csv"],
+            ["buffer", "analyze", "--profile", prof, "--phi", "0.1", "--alpha", "100",
+             "--out", "b.json"],
+            ["simulate", "--profile", prof, "--phi", "0.1", "--alpha", "100", "--cycles", "5",
+             "--compare", "--out", "m.json"],
+            ["population", "study", "--synth", "3", "--phi-grid", "0.1:0.3:3", "--out-dir", "st"],
+        ]
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "deferral", *argv],
+                capture_output=True, text=True, env=SRC_ENV, cwd=tmp_path,
+            )
+            assert proc.returncode == 0 and not proc.stderr, (argv, proc.stderr)
+        assert len(list(tmp_path.iterdir())) == 2 + 6
 
     def test_module_run(self, tmp_path):
         prof_path = save_profile(tmp_path, [0.5, 0.3, 0.2])

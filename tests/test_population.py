@@ -739,6 +739,36 @@ class TestSynthPopulation:
             synth_population(**{"n_users": 2, **kwargs})
         assert str(info.value) == message
 
+    def test_huge_finite_parameters_refused_before_any_draw(self):
+        # numpy's Poisson sampler refuses a mean above about 9.2e18, and the
+        # Dirichlet draw's sum of n gamma variates overflows with n * concentration
+        over_mean = math.nextafter(1e18, math.inf)
+        for mean in (over_mean, 1e19, 1e300):
+            with pytest.raises(ValueError) as info:
+                synth_population(2, mean_messages=mean)
+            assert str(info.value) == f"mean_messages must be at most 1e18, got {mean!r}"
+        for n, over in ((2, math.nextafter(sys.float_info.max / 2, math.inf)),
+                        (24, sys.float_info.max / 24), (24, 1e308)):
+            with pytest.raises(ValueError) as info:
+                synth_population(2, scheme=SlotScheme.day(n), concentration=over)
+            assert str(info.value) == f"concentration * {n} slots overflows, got {over!r}"
+
+    @pytest.mark.parametrize(
+        "n, kwargs",
+        [
+            (24, {"mean_messages": 1e18}),
+            (2, {"concentration": sys.float_info.max / 2}),
+            (24, {"concentration": math.nextafter(sys.float_info.max / 24, 0.0)}),
+        ],
+    )
+    def test_largest_accepted_parameters_draw(self, n, kwargs):
+        users = synth_population(3, scheme=SlotScheme.day(n), seed=4, **kwargs)
+        counts = [p.count for p in users.values()]
+        if "mean_messages" in kwargs:
+            assert all(abs(c - 1e18) < 1e11 for c in counts)
+        else:
+            assert len(counts) == 3
+
     def test_large_concentration_approaches_uniform(self):
         from deferral.profiles import critical_rate
 

@@ -221,6 +221,16 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="n <= 4"):
             solve_grid_oracle(random_profiles(8, 1, seed=0)[0], 0.1)
 
+    def test_refuses_a_grid_too_large_before_enumerating_it(self, monkeypatch):
+        # n = 4 at the default step has C(1003, 3) points, gigabytes as arrays
+        def enumerate_grid(*args):
+            raise AssertionError("the grid was enumerated")
+
+        monkeypatch.setattr(strategies, "_candidate_grid", enumerate_grid)
+        with pytest.raises(ValueError) as info:
+            solve_grid_oracle(random_profiles(4, 1, seed=0)[0], 0.1)
+        assert str(info.value) == "grid oracle needs 167,668,501 points at step 0.001, over 10**7"
+
 
 class TestPrivacyCurve:
     def test_uniform_profile_is_flat(self):
