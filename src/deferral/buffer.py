@@ -18,13 +18,13 @@ is ``sum(b)`` slots over all messages, under any extraction discipline.
 All functions are pure; slot indices are 1-based and cyclic throughout.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
+from ._checks import real
 from .profiles import critical_rate
 from .strategies import DeferralStrategy, ZERO_ATOL
 
@@ -148,16 +148,12 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
     arithmetic as well.  ``tests/test_buffer.py`` keeps the all-starts run
     as the reference this is checked against.
 
-    Refuses a nonpositive or infinite ``alpha``, stored and forwarded
-    masses differing by more than ``CAUSALITY_ATOL`` (the buffer cannot
-    drain), and, as internal inconsistencies, a rotated prefix sum below
-    ``-CAUSALITY_ATOL`` or an occupancy that does not end within
-    ``CAUSALITY_ATOL`` of 0.
+    Refuses stored and forwarded masses differing by more than
+    ``CAUSALITY_ATOL`` (the buffer cannot drain), and, as internal
+    inconsistencies, a rotated prefix sum below ``-CAUSALITY_ATOL`` or an
+    occupancy that does not end within ``CAUSALITY_ATOL`` of 0.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    alpha = real("alpha", alpha, 0.0, open_lo=True)
     stored, forwarded = float(np.sum(strat.s)), float(np.sum(strat.r))
     if abs(stored - forwarded) > CAUSALITY_ATOL:
         raise ValueError(
@@ -191,7 +187,7 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
         b=b,
         s_prime=s_prime,
         r_prime=r_prime,
-        alpha=float(alpha),
+        alpha=alpha,
         phi=strat.phi,
         slot_duration=strat.q_ref.scheme.slot_duration,
     )
@@ -276,14 +272,13 @@ def analyze_buffer(
 ) -> tuple[SteadyStatePattern, float, DelayDistribution]:
     """Steady-state pattern, capacity and delay distribution of a strategy.
 
-    ``alpha`` defaults to the message count of the strategy's profile.
+    ``alpha`` defaults to the message count of the strategy's profile, which
+    is then refused as an ``alpha`` of 0 if the profile carries none.
     Refuses strategies whose rate exceeds the profile's critical rate: the
     steady-state delay analysis is meaningful only up to that point.
     """
     if alpha is None:
         alpha = strat.q_ref.count
-        if not alpha > 0:
-            raise ValueError("profile carries no message count; pass alpha explicitly")
     phi_crit = critical_rate(strat.q_ref)
     if strat.phi > phi_crit + 1e-9:
         raise ValueError(

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer, real
 from .buffer import capacity as buffer_capacity
 from .buffer import steady_state
 from .profiles import (
@@ -54,11 +55,6 @@ def _parse_timestamp(raw) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
-
-
-def _check_tz_offset(tz_offset) -> None:
-    if not math.isfinite(tz_offset):
-        raise ValueError(f"tz_offset must be finite, got {tz_offset!r}")
 
 
 def _csv_header(fh, path: Path):
@@ -289,7 +285,7 @@ def ingest(
     its size limit), a JSONL line that is not a JSON object, or a bad
     timestamp.  Line numbers are physical: a CSV row is named by its first
     line.  Logs are UTF-8, a leading byte-order mark skipped.  ``tz_offset``
-    (seconds, finite) is added to every timestamp, shifting UTC instants
+    (seconds) is added to every timestamp, shifting UTC instants
     into the users' local time of day.  Users with fewer than ``min_count``
     messages are excluded with a warning.  Raises if no valid user remains.
 
@@ -299,7 +295,8 @@ def ingest(
     """
     if scheme is None:
         scheme = SlotScheme.day()
-    _check_tz_offset(tz_offset)
+    tz_offset = real("tz_offset", tz_offset)
+    min_count = integer("min_count", min_count, 0)
     n = scheme.n
     index: dict[str, int] = defaultdict()
     index.default_factory = index.__len__  # a new user gets the next row
@@ -362,16 +359,13 @@ def synth_population(
     """
     if scheme is None:
         scheme = SlotScheme.day()
-    if isinstance(n_users, bool) or not isinstance(n_users, (int, np.integer)) or n_users < 1:
-        raise ValueError(f"n_users must be an integer >= 1, got {n_users!r}")
-    if not 0 < concentration < math.inf:
-        raise ValueError(f"concentration must be positive and finite, got {concentration!r}")
-    if not 0 < mean_messages < math.inf:
-        raise ValueError(f"mean_messages must be positive and finite, got {mean_messages!r}")
+    n_users = integer("n_users", n_users, 1)
+    concentration = real("concentration", concentration, 0.0, open_lo=True, whole=True)
+    # numpy's Poisson sampler refuses means above about 9.2e18
+    mean_messages = real("mean_messages", mean_messages, 0.0, 1e18, open_lo=True, whole=True)
+    seed = integer("seed", seed, 0)
     if not math.isfinite(scheme.n * concentration):  # the Dirichlet draw's gamma sum overflows
         raise ValueError(f"concentration * {scheme.n} slots overflows, got {concentration!r}")
-    if mean_messages > 1e18:  # numpy's Poisson sampler refuses means above about 9.2e18
-        raise ValueError(f"mean_messages must be at most 1e18, got {mean_messages!r}")
     rng = np.random.default_rng(seed)
     width = max(3, len(str(n_users - 1)))
     profiles = {}
@@ -384,8 +378,7 @@ def synth_population(
 
 def nearest_rank_percentile(values, pct: float) -> float:
     """Nearest-rank percentile: smallest value covering ``pct`` percent."""
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile pct must lie in [0, 100], got {pct!r}")
+    pct = real("percentile pct", pct, 0.0, 100.0)
     ordered = np.sort(np.asarray(values, dtype=float))
     if ordered.size == 0:
         raise ValueError("percentile of an empty collection")

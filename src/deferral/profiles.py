@@ -12,11 +12,12 @@ Every function here is pure and safe to call from multiple threads.
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from ._checks import finite_array, integer, real
 
 #: Tolerance used when validating that a vector is a PMF.
 PMF_ATOL = 1e-9
@@ -58,12 +59,9 @@ class SlotScheme:
     period_seconds: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"slot count must be an integer >= 2, got {self.n!r}")
-        if not self.period_seconds > 0:
-            raise ValueError(f"period must be positive, got {self.period_seconds!r}")
-        if not math.isfinite(self.period_seconds):
-            raise ValueError(f"period must be finite, got {self.period_seconds!r}")
+        object.__setattr__(self, "n", integer("slot count", self.n, 2))
+        period = real("period", self.period_seconds, 0.0, open_lo=True)
+        object.__setattr__(self, "period_seconds", period)
 
     @property
     def slot_duration(self) -> float:
@@ -86,7 +84,7 @@ class SlotScheme:
         so a timestamp landing exactly on a boundary belongs to the earlier
         slot, and a timestamp at a period boundary maps to slot ``n``.
         """
-        rem = np.asarray(timestamp, dtype=float) % self.period_seconds
+        rem = finite_array("timestamp", timestamp) % self.period_seconds
         slot = np.where(rem == 0.0, self.n, np.clip(np.ceil(rem / self.slot_duration), 1, self.n))
         return int(slot) if slot.ndim == 0 else slot.astype(np.int64)
 
@@ -99,8 +97,7 @@ class TimestampRecord:
     timestamp: float
 
     def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp!r}")
+        real("timestamp", self.timestamp, 0.0)
 
 
 @dataclass
@@ -125,10 +122,7 @@ class ActivityProfile:
                 f"scheme expects {self.scheme.n}"
             )
         _validate_pmf(q)
-        if self.count < 0:
-            raise ValueError(f"message count must be >= 0, got {self.count!r}")
-        if not math.isfinite(self.count):
-            raise ValueError(f"message count must be finite, got {self.count!r}")
+        self.count = real("message count", self.count, 0.0)
         self.q = q
 
     @property
@@ -149,8 +143,8 @@ class ActivityProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ActivityProfile":
-        scheme = SlotScheme(int(data["n"]), float(data["period_seconds"]))
-        return cls(scheme=scheme, q=data["q"], count=float(data.get("count", 0.0)))
+        scheme = SlotScheme(data["n"], data["period_seconds"])
+        return cls(scheme=scheme, q=data["q"], count=data.get("count", 0.0))
 
     def save(self, path) -> None:
         _write_json(path, self.to_dict())

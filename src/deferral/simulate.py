@@ -26,8 +26,7 @@ call per cycle, and one multivariate hypergeometric draw per
 from at most ``_SCALAR_GROUPS`` slots is numpy's own "marginals" algorithm
 written out as a chain of scalar ``hypergeometric`` calls, which costs less
 than the fixed overhead of one ``multivariate_hypergeometric`` call; wider
-draws, and draws from 10**9 or more buffered messages (which numpy refuses),
-make that call.  Both run the same sampler with the same arguments in the
+draws make that call.  Both run the same sampler with the same arguments in the
 same order, so they draw the same counts from the same random numbers and
 seeded outputs do not depend on which one a release takes.  A release of the
 whole buffer or from one arrival slot is forced: the ``fifo`` walk takes it,
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .buffer import capacity as pattern_capacity
 from .buffer import delay_distribution, forwarding_hazards, steady_state
 from .profiles import ActivityProfile
@@ -60,9 +60,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 #: draw by scalar hypergeometric calls: 1.0-1.3 us per slot against 8-10 us
 #: for one ``multivariate_hypergeometric`` call of up to 9 slots.
 _SCALAR_GROUPS = 6
-
-#: numpy's ``multivariate_hypergeometric`` refuses a population this large.
-_MVHG_LIMIT = 10**9
 
 
 def _marginal_draw(hypergeometric, counts, total, take):
@@ -99,20 +96,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "cycles", "warmup_cycles", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be a positive integer, got {self.alpha!r}")
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles!r}")
-        if not 0 <= self.warmup_cycles < self.cycles:
-            raise ValueError(
-                f"warmup_cycles must lie in [0, cycles), got {self.warmup_cycles!r}"
-            )
+        # the buffer holds at most alpha messages; numpy's multivariate draw refuses 10**9
+        uniform = self.discipline == "uniform_random"
+        self.alpha = integer("alpha", self.alpha, 1, 10**9 if uniform else None)
+        self.cycles = integer("cycles", self.cycles, 1)
+        self.warmup_cycles = integer("warmup_cycles", self.warmup_cycles, 0, self.cycles)
+        self.seed = integer("seed", self.seed, 0)
         if self.discipline not in _DISCIPLINES:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; pick one of {_DISCIPLINES}"
@@ -176,7 +165,6 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
     profile = cfg.profile
     strat = cfg.strategy
     n = profile.n
-    alpha = int(cfg.alpha)
 
     overlap = np.minimum(strat.s, strat.r)
     if overlap.max() > ZERO_ATOL:
@@ -186,7 +174,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
             "only defined for strategies with disjoint storing/forwarding support"
         )
 
-    pattern = steady_state(strat, float(alpha)) if _pattern is None else _pattern
+    pattern = steady_state(strat, cfg.alpha) if _pattern is None else _pattern
     hazards = forwarding_hazards(pattern).tolist()  # raises for non-causal patterns
     start = pattern.start_index
     orig_slot = (np.arange(n) + start - 1) % n  # 0-based original slots
@@ -213,7 +201,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
     peak = 0
 
     for cycle in range(cfg.cycles):
-        arrivals = rng.multinomial(alpha, q_rot)
+        arrivals = rng.multinomial(cfg.alpha, q_rot)
         stored = rng.binomial(arrivals, p_store)
         counting = cycle >= cfg.warmup_cycles
         # buffered messages by reordered arrival slot, and the slots that hold
@@ -237,7 +225,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
                 if take:
                     if uniform and take < level and len(live) > 1:
                         counts = [held[i] for i in live]
-                        if len(live) <= _SCALAR_GROUPS and level < _MVHG_LIMIT:
+                        if len(live) <= _SCALAR_GROUPS:
                             drawn = _marginal_draw(hypergeometric, counts, level, take)
                         else:
                             # an array: numpy converts a list argument slowly
@@ -303,7 +291,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
     return SimReport(
         delay_histogram=delay_hist,
         delayed_count=delayed_count,
-        total_count=alpha * measured,
+        total_count=cfg.alpha * measured,
         mean_conditional_delay=mean_cond,
         peak_occupancy=peak,
         per_slot_posted=per_slot_posted,
@@ -375,7 +363,7 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
             "analytic comparison requires the uniform_random discipline, "
             f"got {cfg.discipline!r}"
         )
-    pattern = steady_state(cfg.strategy, float(cfg.alpha))
+    pattern = steady_state(cfg.strategy, cfg.alpha)
     dist = delay_distribution(pattern)
     cap = pattern_capacity(pattern)
 

@@ -34,6 +34,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ._checks import real
 from .profiles import ActivityProfile, critical_rate, entropy, entropy_rows
 
 #: Strategy components closer to zero than this are snapped to zero.
@@ -172,10 +173,7 @@ def _apparent(q, s, r) -> np.ndarray:
 
 
 def _check_phi(phi: float) -> float:
-    phi = float(phi)
-    if not (0.0 <= phi < 1.0) or not math.isfinite(phi):
-        raise ValueError(f"deferral rate must lie in [0, 1), got {phi!r}")
-    return phi
+    return real("deferral rate", phi, 0.0, 1.0, open_hi=True)
 
 
 def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float, bool]:
@@ -378,11 +376,12 @@ def solve_grid_oracle(
         The best grid point and its entropy.
     """
     _, eff, _ = _effective_rate(profile, phi)
+    step = real("step", step, 0.0, 0.5, open_lo=True)
     n = profile.n
     if n > 4:
         raise ValueError(f"grid oracle is only meant for n <= 4, got n = {n}")
     steps = round(1.0 / step)
-    points = math.comb(max(steps, 0) + n - 1, n - 1)  # a negative step enumerates nothing
+    points = math.comb(steps + n - 1, n - 1)
     if points > 10**7:  # n = 4 at step 1e-3 has 1.7e8 points, over 10 GB
         raise ValueError(f"grid oracle needs {points:,} points at step {step!r}, over 10**7")
     grid, ent, first = _candidate_grid(n, steps)

@@ -1,0 +1,81 @@
+"""The input contract: every public scalar parameter refuses a bad value with
+a ``ValueError`` that names the parameter."""
+
+import json
+import math
+
+import pytest
+
+from deferral import (
+    ActivityProfile,
+    SimConfig,
+    SlotScheme,
+    TimestampRecord,
+    ingest,
+    solve_grid_oracle,
+    solve_optimal,
+    steady_state,
+    synth_population,
+)
+from deferral.cli import main
+from deferral.population import nearest_rank_percentile
+
+NAN, INF = math.nan, math.inf
+SCHEME = SlotScheme(4, 100.0)
+PROFILE = ActivityProfile(SCHEME, [0.1, 0.2, 0.3, 0.4], count=10.0)
+STRATEGY = solve_optimal(PROFILE, 0.1)
+
+
+def simulation(**kwargs):
+    return SimConfig(**{"profile": PROFILE, "strategy": STRATEGY, "alpha": 10, "cycles": 10, **kwargs})
+
+
+#: (call with the value, parameter as its messages name it, bad values).  No
+#: bad value allocates: a log path that does not exist is never opened, and
+#: an alpha of 10**9 is refused before any draw.
+PARAMETERS = [
+    (lambda v: SlotScheme(v, 100.0), "slot count", [True, 1, -3, 2.5, NAN, INF, "4"]),
+    (lambda v: SlotScheme(4, v), "period", [True, 0, -1.0, NAN, INF, -INF, "100"]),
+    (SCHEME.slot_of, "timestamp", [NAN, INF, -INF, [0.0, NAN]]),
+    (lambda v: TimestampRecord("u", v), "timestamp", [True, -1.0, NAN, INF, "60"]),
+    (lambda v: ActivityProfile(SCHEME, PROFILE.q, count=v), "message count", [True, -1, NAN, INF, "3"]),
+    (lambda v: ingest("absent.csv", tz_offset=v), "tz_offset", [True, NAN, INF, -INF, "3600"]),
+    (lambda v: ingest("absent.csv", min_count=v), "min_count", [True, -5, 2.5, NAN, INF, "1"]),
+    (synth_population, "n_users", [True, 0, -1, 2.5, NAN, INF, "3"]),
+    (lambda v: synth_population(2, concentration=v), "concentration", [True, 0, -1.0, NAN, INF, "1", 1e308]),
+    (lambda v: synth_population(2, mean_messages=v), "mean_messages", [True, 0, -1.0, NAN, INF, "9", 1e19]),
+    (lambda v: synth_population(2, seed=v), "seed", [True, -1, 1.5, NAN, INF, "0"]),
+    (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
+    (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
+    (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
+    (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9]),
+    (lambda v: simulation(cycles=v), "cycles", [True, 0, -1, 2.5, NAN, INF, "10"]),
+    (lambda v: simulation(warmup_cycles=v), "warmup_cycles", [True, -1, 10, 1.5, NAN, "2"]),
+    (lambda v: simulation(seed=v), "seed", [True, -1, 1.0, NAN, INF, "0"]),
+    (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, bad",
+    [(call, name, bad) for call, name, values in PARAMETERS for bad in values],
+    ids=[f"{name}={bad!r}" for _, name, values in PARAMETERS for bad in values],
+)
+def test_bad_value_refused_by_name(call, name, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{name} "), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (["--synth", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["--input", "absent.csv", "--min-count", "-5"], "min_count must be a non-negative integer, got -5"),
+    ],
+)
+def test_cli_refuses_by_name(tmp_path, capsys, source, message):
+    out = tmp_path / "out"
+    assert main(["population", "study", *source, "--phi-grid", "0.1:0.5:3", "--out-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
+    assert not out.exists()

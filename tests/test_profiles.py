@@ -100,6 +100,9 @@ class TestActivityProfile:
             ("count", float("inf"), "message count must be finite, got inf"),
             ("count", float("nan"), "message count must be finite, got nan"),
             ("period_seconds", float("inf"), "period must be finite, got inf"),
+            ("n", 4.9, "slot count must be an integer >= 2, got 4.9"),
+            ("count", "3", "message count must be >= 0 and finite, got '3'"),
+            ("period_seconds", True, "period must be positive and finite, got True"),
         ],
     )
     def test_non_finite_fields_refused_on_load(self, tmp_path, field, value, message):

@@ -620,16 +620,19 @@ class TestScalarReference:
         assert_reports_equal(run_simulation(cfg), ref_run_simulation(cfg))
 
     def test_refuses_a_buffer_past_numpys_limit(self):
-        # numpy's multivariate draw refuses a population of 10**9 or more;
-        # scalar draws would only limit each argument
+        # numpy's multivariate draw refuses a population of 10**9 or more, and
+        # the buffer holds up to alpha messages: uniform_random refuses such an
+        # alpha at construction, while fifo never draws and still runs
         prof = profile([0.3, 0.3, 0.02, 0.3, 0.02, 0.06])
         strat = solve_optimal(prof, critical_rate(prof))
-        cfg = SimConfig(
-            profile=prof, strategy=strat, alpha=4 * 10**9, cycles=2, warmup_cycles=1, seed=1
-        )
+        kwargs = dict(profile=prof, strategy=strat, alpha=4 * 10**9, cycles=2, warmup_cycles=1, seed=1)
+        message = r"^alpha must be an integer in \[1, 1000000000\), got 4000000000$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kwargs)
+        cfg = SimConfig(**kwargs, discipline="fifo")
         got = sim_outcome(run_simulation, cfg)
-        assert got == sim_outcome(ref_run_simulation, cfg)
-        assert got[0] == "raise" and "sum(colors) must be less than 1000000000" in got[1]
+        assert got[0] == "ok" and got[1].total_count == 4 * 10**9
+        assert_reports_equal(got[1], ref_run_simulation(cfg))
 
     def test_undrained_cycle_raises(self):
         # halved hazards: the drain slot releases only half the buffer
