@@ -12,9 +12,8 @@ delayed for the observed pattern to become completely flat).
 import numpy as np
 
 from deferral import (
+    ActivityProfile,
     SlotScheme,
-    TimestampRecord,
-    build_profile,
     critical_rate,
     entropy,
     kl_divergence,
@@ -27,16 +26,18 @@ scheme = SlotScheme.day(24)
 
 # evening-heavy posting times: a mixture of an evening peak and some
 # daytime background, over 60 days
-records = []
+ts = []
 for _ in range(1500):
     day = rng.integers(0, 60)
     if rng.random() < 0.7:
         hour = (20 + rng.exponential(2.0)) % 24  # evening burst
     else:
         hour = rng.uniform(8, 24)  # daytime background
-    records.append(TimestampRecord("night_owl", day * 86400 + hour * 3600))
+    ts.append(day * 86400 + hour * 3600)
 
-profile = build_profile(records, scheme)
+# the profile is the per-hour count over the message count
+counts = np.bincount(scheme.slot_of(ts) - 1, minlength=scheme.n)
+profile = ActivityProfile(scheme, counts / len(ts), count=float(len(ts)))
 
 print("hour  share of messages")
 for i, share in enumerate(profile.q):

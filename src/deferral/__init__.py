@@ -11,7 +11,6 @@ from .profiles import (
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
-    build_profile,
     critical_rate,
     entropy,
     entropy_rows,
@@ -62,7 +61,6 @@ __all__ = [
     "SteadyStatePattern",
     "TimestampRecord",
     "analyze_buffer",
-    "build_profile",
     "capacity",
     "critical_rate",
     "delay_distribution",

@@ -94,10 +94,6 @@ class DelayDistribution:
     slot_duration: float
 
     @property
-    def n(self) -> int:
-        return self.pmf.shape[0]
-
-    @property
     def conditional_hours(self) -> float:
         """Mean delay of delayed messages, converted to hours."""
         return self.expected_conditional * self.slot_duration / 3600.0
@@ -165,7 +161,7 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
     r_prime = np.concatenate((strat.r[start - 1:], strat.r[: start - 1]))
     a = s_prime - r_prime
     b = np.cumsum(a)
-    low = b.min()
+    low = float(b.min())
     if low < -CAUSALITY_ATOL:
         raise ValueError(
             f"internal inconsistency: negative prefix sum {low!r} from starting index {start}"
@@ -176,7 +172,7 @@ def steady_state(strat: DeferralStrategy, alpha: float) -> SteadyStatePattern:
         b[j:] = list(accumulate(a[j:].tolist(), lambda L, x: max(L + x, 0.0), initial=level))[1:]
     if abs(b[-1]) > CAUSALITY_ATOL:
         raise ValueError(
-            f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0"
+            f"internal inconsistency: occupancy ends at {float(b[-1])!r}, expected 0"
         )
     b[-1] = 0.0
 
@@ -213,7 +209,7 @@ def forwarding_hazards(pattern: SteadyStatePattern) -> np.ndarray:
     if non_causal.size:
         j = int(non_causal[0]) + 1
         raise ValueError(
-            f"non-causal pattern: forwarding {r[j - 1]!r} at reordered slot {j} "
+            f"non-causal pattern: forwarding {float(r[j - 1])!r} at reordered slot {j} "
             "with an empty buffer"
         )
     hazards = np.zeros(pattern.n)

@@ -34,7 +34,6 @@ from .buffer import steady_state
 from .profiles import (
     ActivityProfile,
     SlotScheme,
-    TimestampRecord,
     _write_table,
     critical_rate,
     entropy_rows,
@@ -290,8 +289,8 @@ def ingest(
     messages are excluded with a warning.  Raises if no valid user remains.
 
     Reads and bins the log in blocks of rows, keeping only per-user slot
-    counts and row errors; each profile is the one :func:`build_profile`
-    gives for the user's records.
+    counts and row errors; a user's ``q`` is their per-slot message count
+    over their message count, which is the profile's ``count``.
     """
     if scheme is None:
         scheme = SlotScheme.day()
@@ -312,7 +311,7 @@ def ingest(
         ts = _bulk_timestamps(codes, length) + tz_offset
         for j in np.flatnonzero(~(ts >= 0)).tolist():  # not a bulk form, or negative
             try:
-                ts[j] = TimestampRecord(users[j], _parse_timestamp(raw[j]) + tz_offset).timestamp
+                ts[j] = real("timestamp", _parse_timestamp(raw[j]) + tz_offset, 0.0)
             except (ValueError, TypeError) as exc:
                 row_errors.append((lines[j], f"bad timestamp {raw[j]!r}: {exc}"))
                 ts[j] = np.nan

@@ -1,10 +1,10 @@
 """Activity profiles over cyclic time slots, and the metrics defined on them.
 
 A user's online activity is modeled as a PMF ``q`` over ``n`` time slots that
-tile a cyclic period (a day, a week, ...).  :func:`build_profile` bins
-in-memory records into one (``population.ingest`` reads logs).  This module
-also has the information-theoretic quantities the library is built on:
-entropy, KL divergence, total variation and the critical deferral rate.
+tile a cyclic period (a day, a week, ...); ``population.ingest`` bins a
+timestamp log into one per user.  This module also has the
+information-theoretic quantities the library is built on: entropy, KL
+divergence, total variation and the critical deferral rate.
 
 All logarithms are base 2; entropy and divergence are reported in bits.
 Every function here is pure and safe to call from multiple threads.
@@ -13,7 +13,7 @@ Every function here is pure and safe to call from multiple threads.
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -104,8 +104,8 @@ class TimestampRecord:
 class ActivityProfile:
     """A PMF ``q`` over the slots of ``scheme``.
 
-    ``count`` is the number of messages the estimate is based on; profiles
-    built by :func:`build_profile` satisfy ``q[i] = per-slot count / count``.
+    ``count`` is the number of messages the estimate is based on; a profile
+    binned from timestamps has ``q[i] = (messages in slot i) / count``.
     Synthetic profiles may carry a count that is only a rate parameter.
     """
 
@@ -128,10 +128,6 @@ class ActivityProfile:
     @property
     def n(self) -> int:
         return self.scheme.n
-
-    def entropy(self) -> float:
-        """Shannon entropy of the profile in bits."""
-        return entropy(self.q)
 
     def to_dict(self) -> dict:
         return {
@@ -175,36 +171,8 @@ def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
 
 def uniform_pmf(n: int) -> np.ndarray:
     """The uniform PMF on ``n`` outcomes."""
+    n = integer("n", n, 1)
     return np.full(n, 1.0 / n)
-
-
-def build_profile(records: Sequence[TimestampRecord], scheme: SlotScheme) -> ActivityProfile:
-    """Estimate an activity profile as a normalized histogram of timestamps.
-
-    Parameters
-    ----------
-    records : sequence of TimestampRecord
-        Messages of a single user; must be nonempty and homogeneous in
-        ``user_id``.
-    scheme : SlotScheme
-        Slot scheme used for binning.
-
-    Returns
-    -------
-    ActivityProfile
-        Relative frequencies per slot; invariant to the order of ``records``.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no data: cannot build a profile from an empty record set")
-    user_ids = {rec.user_id for rec in records}
-    if len(user_ids) > 1:
-        raise ValueError(
-            f"heterogeneous input: records carry {len(user_ids)} distinct user ids"
-        )
-    slots = scheme.slot_of([rec.timestamp for rec in records])
-    counts = np.bincount(slots - 1, minlength=scheme.n)
-    return ActivityProfile(scheme=scheme, q=counts / len(records), count=float(len(records)))
 
 
 def entropy(p) -> float:

@@ -84,9 +84,9 @@ class DeferralStrategy:
     theta_hi: Optional[float] = None
     theta_lo: Optional[float] = None
     _t: np.ndarray = field(init=False, repr=False, compare=False)
-    _entropy_bits: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.phi = _check_phi(self.phi)
         self.s = _snap(self.s)
         self.r = _snap(self.r)
         if self.requested_phi is None:
@@ -98,10 +98,6 @@ class DeferralStrategy:
         for arr in (self.s, self.r, self._t):
             arr.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.q_ref.n
-
     def apparent(self) -> np.ndarray:
         """The apparent profile ``t = q - s + r``.
 
@@ -111,10 +107,8 @@ class DeferralStrategy:
         return self._t
 
     def entropy_bits(self) -> float:
-        """Entropy of the apparent profile in bits, computed on first use."""
-        if self._entropy_bits is None:
-            self._entropy_bits = entropy(self._t)
-        return self._entropy_bits
+        """Entropy of the apparent profile in bits."""
+        return entropy(self._t)
 
     def to_dict(self) -> dict:
         return {
@@ -151,19 +145,19 @@ def feasibility_violation(q, s, r, phi) -> Optional[str]:
         return "s or r has non-finite entries"
     if np.any(s < 0):
         i = int(np.argmin(s))
-        return f"s[{i}] = {s[i]!r} is negative"
+        return f"s[{i}] = {float(s[i])!r} is negative"
     if np.any(r < 0):
         i = int(np.argmin(r))
-        return f"r[{i}] = {r[i]!r} is negative"
+        return f"r[{i}] = {float(r[i])!r} is negative"
     # Written so that NaN fails them: a NaN rate or q[i] is named, not accepted.
     if not abs(s.sum() - phi) <= MASS_ATOL:
-        return f"sum(s) = {s.sum()!r} differs from phi = {phi!r}"
+        return f"sum(s) = {float(s.sum())!r} differs from phi = {float(phi)!r}"
     if not abs(r.sum() - phi) <= MASS_ATOL:
-        return f"sum(r) = {r.sum()!r} differs from phi = {phi!r}"
+        return f"sum(r) = {float(r.sum())!r} differs from phi = {float(phi)!r}"
     over = s - q
     if not np.all(over <= ZERO_ATOL):
         i = int(np.argmax(over))  # the first NaN, if any
-        return f"s[{i}] = {s[i]!r} exceeds q[{i}] = {q[i]!r}"
+        return f"s[{i}] = {float(s[i])!r} exceeds q[{i}] = {float(q[i])!r}"
     return None
 
 
@@ -256,6 +250,8 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
 
     Raises
     ------
+    ImportError
+        If SciPy, the ``deferral[oracle]`` extra, is not installed.
     RuntimeError
         If the optimizer fails to converge within 1000 iterations;
         the message carries the best entropy found.
@@ -269,7 +265,10 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
             requested_phi=requested, clamped=clamped,
         )
 
-    from scipy import optimize  # lazily: its import takes ~0.5 s and only the oracle uses it
+    try:  # lazily: its import takes ~0.5 s and only the oracle uses it
+        from scipy import optimize
+    except ImportError as exc:
+        raise ImportError("the oracle needs SciPy: pip install 'deferral[oracle]'") from exc
 
     ones_s = np.concatenate([np.ones(n), np.zeros(n)])
     ones_r = np.concatenate([np.zeros(n), np.ones(n)])
@@ -345,7 +344,7 @@ def _compositions(n: int, total: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _candidate_grid(n: int, steps: int):
     """Candidate apparent profiles, their entropies and their first entries,
     shared across calls; rows are sorted by first entry."""

@@ -303,11 +303,11 @@ def ref_steady_state(strat, alpha):
     if prefix.min() < -CAUSALITY_ATOL:
         raise ValueError(
             "internal inconsistency: negative prefix sum "
-            f"{prefix.min()!r} from starting index {start}"
+            f"{float(prefix.min())!r} from starting index {start}"
         )
     b = _ref_occupancy_from(a, start, n)
     if abs(b[-1]) > CAUSALITY_ATOL:
-        raise ValueError(f"internal inconsistency: occupancy ends at {b[-1]!r}, expected 0")
+        raise ValueError(f"internal inconsistency: occupancy ends at {float(b[-1])!r}, expected 0")
     b[-1] = 0.0
     ref_check_all_starts(a, start, b)
     return SteadyStatePattern(
@@ -326,7 +326,7 @@ def ref_forwarding_hazards(pattern):
         prev = 0.0 if j == 1 else pattern.b[j - 2]
         if prev <= CAUSALITY_ATOL:
             raise ValueError(
-                f"non-causal pattern: forwarding {rj!r} at reordered slot {j} "
+                f"non-causal pattern: forwarding {float(rj)!r} at reordered slot {j} "
                 "with an empty buffer"
             )
         hazards[j - 1] = 1.0 if pattern.b[j - 1] == 0.0 else min(rj / prev, 1.0)

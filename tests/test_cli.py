@@ -449,6 +449,41 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_every_command_but_the_oracle_runs_without_scipy(self, tmp_path):
+        log = write_log(tmp_path / "log.csv", [("u", 600 + HOUR * h) for h in range(30)])
+        prof = save_profile(tmp_path, [0.5, 0.3, 0.2])
+        commands = [
+            ["profile", "build", "--input", log, "--out", "p.json"],
+            ["strategy", "solve", "--profile", prof, "--phi", "0.1", "--out", "s.json"],
+            ["curve", "--profile", prof, "--phi-grid", "0:0.2:3", "--out", "c.csv"],
+            ["buffer", "analyze", "--profile", prof, "--phi", "0.1", "--alpha", "100",
+             "--out", "b.json"],
+            ["simulate", "--profile", prof, "--phi", "0.1", "--alpha", "100", "--cycles", "5",
+             "--out", "m.json"],
+            ["simulate", "--profile", prof, "--phi", "0.1", "--alpha", "100", "--cycles", "5",
+             "--compare", "--out", "mc.json"],
+            ["population", "study", "--synth", "3", "--phi-grid", "0.1:0.3:3", "--out-dir", "st"],
+            ["population", "study", "--input", log, "--phi-grid", "0.1:0.3:3", "--out-dir", "sl"],
+            ["strategy", "solve", "--profile", prof, "--phi", "0.1", "--oracle", "--out", "o.json"],
+        ]
+        # a None entry makes every import of scipy raise ImportError
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from deferral.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            capture_output=True, text=True, env=SRC_ENV, cwd=tmp_path,
+        )
+        assert json.loads(proc.stdout) == [0] * 8 + [1], proc.stderr
+        assert json.loads(proc.stderr) == {
+            "error": "the oracle needs SciPy: pip install 'deferral[oracle]'",
+            "type": "ImportError",
+        }
+        assert not (tmp_path / "o.json").exists()
+
     def test_module_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "deferral", "--help"],

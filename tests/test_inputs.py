@@ -8,6 +8,7 @@ import pytest
 
 from deferral import (
     ActivityProfile,
+    DeferralStrategy,
     SimConfig,
     SlotScheme,
     TimestampRecord,
@@ -16,6 +17,7 @@ from deferral import (
     solve_optimal,
     steady_state,
     synth_population,
+    uniform_pmf,
 )
 from deferral.cli import main
 from deferral.population import nearest_rank_percentile
@@ -30,10 +32,16 @@ def simulation(**kwargs):
     return SimConfig(**{"profile": PROFILE, "strategy": STRATEGY, "alpha": 10, "cycles": 10, **kwargs})
 
 
-#: (call with the value, parameter as its messages name it, bad values).  No
+def strategy(phi):
+    return DeferralStrategy(s=[0.1, 0, 0, 0], r=[0, 0, 0, 0.1], phi=phi, q_ref=PROFILE)
+
+
+#: (call with the value, parameter as its messages name it, bad values), and
+#: a label for the ids of a row whose parameter another row checks too.  No
 #: bad value allocates: a log path that does not exist is never opened, and
 #: an alpha of 10**9 is refused before any draw.
 PARAMETERS = [
+    (uniform_pmf, "n", [True, 0, -1, 2.5, NAN, INF, "2"]),
     (lambda v: SlotScheme(v, 100.0), "slot count", [True, 1, -3, 2.5, NAN, INF, "4"]),
     (lambda v: SlotScheme(4, v), "period", [True, 0, -1.0, NAN, INF, -INF, "100"]),
     (SCHEME.slot_of, "timestamp", [NAN, INF, -INF, [0.0, NAN]]),
@@ -47,6 +55,7 @@ PARAMETERS = [
     (lambda v: synth_population(2, seed=v), "seed", [True, -1, 1.5, NAN, INF, "0"]),
     (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
+    (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
     (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
     (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9]),
     (lambda v: simulation(cycles=v), "cycles", [True, 0, -1, 2.5, NAN, INF, "10"]),
@@ -58,8 +67,8 @@ PARAMETERS = [
 
 @pytest.mark.parametrize(
     "call, name, bad",
-    [(call, name, bad) for call, name, values in PARAMETERS for bad in values],
-    ids=[f"{name}={bad!r}" for _, name, values in PARAMETERS for bad in values],
+    [(call, name, bad) for call, name, values, *_ in PARAMETERS for bad in values],
+    ids=[f"{''.join(label)}{name}={bad!r}" for _, name, values, *label in PARAMETERS for bad in values],
 )
 def test_bad_value_refused_by_name(call, name, bad):
     with pytest.raises(ValueError) as info:

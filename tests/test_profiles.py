@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deferral.population import ingest
 from deferral.profiles import (
     PMF_ATOL,
     ActivityProfile,
     SlotScheme,
     TimestampRecord,
     _validate_pmf,
-    build_profile,
     critical_rate,
     entropy,
     entropy_rows,
@@ -125,28 +125,33 @@ class TestActivityProfile:
         assert np.array_equal(ActivityProfile.load(path).q, prof.q)
 
 
+def binned(tmp_path, stamps, scheme, name="log.csv"):
+    """The profile ``ingest`` bins from one user's timestamps in a CSV log."""
+    path = tmp_path / name
+    rows = "".join(f"u,{float(t)!r}\n" for t in stamps)
+    path.write_text("user_id,timestamp_utc\n" + rows, encoding="utf-8")
+    return ingest(path, scheme=scheme)["u"]
+
+
 class TestBuildProfile:
-    def test_hourly_records_give_uniform(self):
-        scheme = hourly_scheme()
-        records = [TimestampRecord("u", h * HOUR + 60) for h in range(24)]
-        prof = build_profile(records, scheme)
+    """Building a profile from timestamps, which ``ingest`` alone does."""
+
+    def test_hourly_records_give_uniform(self, tmp_path):
+        prof = binned(tmp_path, [h * HOUR + 60 for h in range(24)], hourly_scheme())
         assert np.allclose(prof.q, uniform_pmf(24))
         assert prof.count == 24
 
-    def test_degenerate_mass(self):
-        scheme = hourly_scheme()
-        records = [TimestampRecord("u", 2 * HOUR + 300)] * 4  # within slot 3
-        prof = build_profile(records, scheme)
+    def test_degenerate_mass(self, tmp_path):
+        prof = binned(tmp_path, [2 * HOUR + 300] * 4, hourly_scheme())  # within slot 3
         expected = np.zeros(24)
         expected[2] = 1.0
         assert np.array_equal(prof.q, expected)
         assert prof.count == 4
 
-    def test_hand_binned_example(self):
+    def test_hand_binned_example(self, tmp_path):
         # 00:30, 00:45, 13:10, 13:20, 13:40, 22:05
         minutes = [30, 45, 13 * 60 + 10, 13 * 60 + 20, 13 * 60 + 40, 22 * 60 + 5]
-        records = [TimestampRecord("u", m * 60.0) for m in minutes]
-        prof = build_profile(records, hourly_scheme())
+        prof = binned(tmp_path, [m * 60.0 for m in minutes], hourly_scheme())
         expected = np.zeros(24)
         expected[0] = 2 / 6
         expected[13] = 3 / 6
@@ -154,23 +159,17 @@ class TestBuildProfile:
         assert np.allclose(prof.q, expected)
         assert prof.count == 6
 
-    def test_empty_records(self):
-        with pytest.raises(ValueError, match="no data"):
-            build_profile([], hourly_scheme())
+    def test_empty_records(self, tmp_path):
+        with pytest.raises(ValueError, match="no valid users"):
+            binned(tmp_path, [], hourly_scheme())
 
-    def test_mixed_users(self):
-        records = [TimestampRecord("a", 0.0), TimestampRecord("b", 60.0)]
-        with pytest.raises(ValueError, match="heterogeneous input"):
-            build_profile(records, hourly_scheme())
-
-    def test_order_invariance(self):
+    def test_order_invariance(self, tmp_path):
         rng = np.random.default_rng(3)
         scheme = hourly_scheme()
         stamps = rng.uniform(0, 86400 * 7, size=200)
-        records = [TimestampRecord("u", t) for t in stamps]
-        prof = build_profile(records, scheme)
-        shuffled = [records[i] for i in rng.permutation(len(records))]
-        assert np.array_equal(build_profile(shuffled, scheme).q, prof.q)
+        prof = binned(tmp_path, stamps, scheme)
+        shuffled = binned(tmp_path, stamps[rng.permutation(stamps.size)], scheme, "shuffled.csv")
+        assert np.array_equal(shuffled.q, prof.q)
 
 
 class TestEntropy:

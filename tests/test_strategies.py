@@ -492,18 +492,18 @@ def ref_feasibility_violation(q, s, r, phi):
         return "s or r has non-finite entries"
     if np.any(s < 0):
         i = int(np.argmin(s))
-        return f"s[{i}] = {s[i]!r} is negative"
+        return f"s[{i}] = {float(s[i])!r} is negative"
     if np.any(r < 0):
         i = int(np.argmin(r))
-        return f"r[{i}] = {r[i]!r} is negative"
+        return f"r[{i}] = {float(r[i])!r} is negative"
     if not abs(s.sum() - phi) <= MASS_ATOL:  # NaN fails
-        return f"sum(s) = {s.sum()!r} differs from phi = {phi!r}"
+        return f"sum(s) = {float(s.sum())!r} differs from phi = {float(phi)!r}"
     if not abs(r.sum() - phi) <= MASS_ATOL:
-        return f"sum(r) = {r.sum()!r} differs from phi = {phi!r}"
+        return f"sum(r) = {float(r.sum())!r} differs from phi = {float(phi)!r}"
     over = s - q
     if not np.all(over <= ZERO_ATOL):
         i = int(np.argmax(over))
-        return f"s[{i}] = {s[i]!r} exceeds q[{i}] = {q[i]!r}"
+        return f"s[{i}] = {float(s[i])!r} exceeds q[{i}] = {float(q[i])!r}"
     t = q - s + r
     if np.any(t < -ZERO_ATOL):
         i = int(np.argmin(t))
@@ -684,15 +684,15 @@ class TestNaNIsInfeasible:
     def test_nan_rate(self):
         zeros = np.zeros(3)
         assert feasibility_violation(THREE, zeros, zeros, float("nan")) == (
-            f"sum(s) = {np.float64(0.0)!r} differs from phi = nan"
+            "sum(s) = 0.0 differs from phi = nan"
         )
-        with pytest.raises(ValueError, match=r"^infeasible strategy: sum\(s\) .* phi = nan$"):
+        with pytest.raises(ValueError, match=r"^deferral rate must lie in \[0, 1\), got nan$"):
             DeferralStrategy(s=zeros, r=zeros, phi=float("nan"), q_ref=profile(THREE))
 
     def test_nan_in_q(self):
         zeros = np.zeros(3)
         assert feasibility_violation([0.5, float("nan"), 0.5], zeros, zeros, 0.0) == (
-            f"s[1] = {np.float64(0.0)!r} exceeds q[1] = {np.float64('nan')!r}"
+            "s[1] = 0.0 exceeds q[1] = nan"
         )
 
 
