@@ -113,6 +113,7 @@ class ActivityProfile:
     q: np.ndarray
     count: float = 0.0
     _critical_rate: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _prefix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = _as_readonly_array(self.q)

@@ -10,12 +10,13 @@ components of ``q`` are lowered to a common level ``theta_hi`` (that mass is
 stored), the smallest components are raised to a level ``theta_lo`` (that
 mass is forwarded), and intermediate components are untouched.
 :func:`waterfill` is the one computation of both thresholds, a sorted
-prefix-sum scan batched over profiles and rates; :func:`solve_optimal` is
-its one-profile, one-rate case.  :func:`solve_numerical_oracle` solves the
-same program with a generic constrained optimizer that knows nothing about
-that structure, and exists to validate the closed form;
-:func:`solve_grid_oracle` does the same by brute-force enumeration for
-small alphabets.
+prefix-sum scan batched over profiles and rates.  A profile keeps its sorted
+prefix sums, so :func:`solve_optimal`, the one-profile, one-rate case, and
+:func:`privacy_deferral_curve` only scan at their rates.
+:func:`solve_numerical_oracle` solves the same program with a generic
+constrained optimizer that knows nothing about that structure, and exists
+to validate the closed form; :func:`solve_grid_oracle` does the same by
+brute-force enumeration for small alphabets.
 
 Beyond the critical rate (the total variation distance between ``q`` and
 uniform) the apparent profile is already uniform and extra deferral buys
@@ -34,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._checks import real
+from ._checks import finite_array, real
 from .profiles import ActivityProfile, critical_rate, entropy, entropy_rows
 
 #: Strategy components closer to zero than this are snapped to zero.
@@ -65,14 +66,16 @@ class DeferralStrategy:
         The rate that was asked for; differs from ``phi`` only when the
         request exceeded the critical rate and was clamped.
     clamped : bool
-        True when ``requested_phi`` was clamped down to the critical rate.
+        True when ``requested_phi`` was clamped down to the critical rate;
+        refused unless it is the bool ``requested_phi > phi``.
     theta_hi, theta_lo : float or None
         Water-filling levels, populated by the solvers that know them.
 
     Validated once, at construction, against ``q_ref``: a feasible pair is
     accepted after a fixed set of five whole-array reductions (two sums, two
     minima, one maximum); the ordered checks that name the first violated
-    constraint run only when one of those fails.
+    constraint run only when one of those fails.  ``s`` and ``r`` of one
+    shape are kept as the read-only rows of one snapped array.
     """
 
     s: np.ndarray
@@ -87,10 +90,16 @@ class DeferralStrategy:
 
     def __post_init__(self):
         self.phi = _check_phi(self.phi)
-        self.s = _snap(self.s)
-        self.r = _snap(self.r)
         if self.requested_phi is None:
             self.requested_phi = self.phi
+        requested = self.requested_phi = _check_phi(self.requested_phi, "requested_phi")
+        if requested < self.phi:
+            raise ValueError(f"requested_phi must be >= phi = {self.phi!r}, got {requested!r}")
+        clamp = requested > self.phi
+        if self.clamped is not clamp:
+            raise ValueError(f"clamped must be {clamp} (requested_phi > phi), got {self.clamped!r}")
+        s, r = np.asarray(self.s, dtype=float), np.asarray(self.r, dtype=float)
+        self.s, self.r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
         violation = feasibility_violation(self.q_ref.q, self.s, self.r, self.phi)
         if violation:
             raise ValueError(f"infeasible strategy: {violation}")
@@ -131,14 +140,18 @@ def feasibility_violation(q, s, r, phi) -> Optional[str]:
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
     if s.shape != q.shape or r.shape != q.shape:
-        return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+        if q.ndim == s.ndim == r.ndim == 1:
+            return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+        return f"shape mismatch: q has shape {q.shape}, s {s.shape}, r {r.shape}"
     # Accept: a sum is finite only if every entry is, and NaN fails every comparison.
     # These imply q - s + r >= -ZERO_ATOL: q - s is exactly -(s - q), and adding r >= 0
-    # rounds to no less.  Silent, so that only the ordered checks below warn.
+    # rounds to no less.  Silent, so that only the ordered checks below warn.  These
+    # ufunc reductions are .sum(), .min() and .max() without their Python wrappers.
+    add, low, high = np.add.reduce, np.minimum.reduce, np.maximum.reduce
     with np.errstate(all="ignore"):
         if q.size and (
-            abs(s.sum() - phi) <= MASS_ATOL and abs(r.sum() - phi) <= MASS_ATOL
-            and s.min() >= 0 and r.min() >= 0 and (s - q).max() <= ZERO_ATOL
+            abs(add(s, None) - phi) <= MASS_ATOL and abs(add(r, None) - phi) <= MASS_ATOL
+            and low(s, None) >= 0 and low(r, None) >= 0 and high(s - q, None) <= ZERO_ATOL
         ):
             return None
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(r))):
@@ -166,8 +179,8 @@ def _apparent(q, s, r) -> np.ndarray:
     return np.maximum(q - s + r, 0.0)
 
 
-def _check_phi(phi: float) -> float:
-    return real("deferral rate", phi, 0.0, 1.0, open_hi=True)
+def _check_phi(phi: float, name: str = "deferral rate") -> float:
+    return real(name, phi, 0.0, 1.0, open_hi=True)
 
 
 def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float, bool]:
@@ -178,10 +191,26 @@ def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float,
     return requested, min(requested, phi_crit), requested > phi_crit
 
 
-def _strategy_arrays(q, theta_lo, theta_hi) -> tuple[np.ndarray, np.ndarray]:
-    """Stored and forwarded fractions ``(s, r)`` at water-filling levels,
-    not yet snapped; the levels broadcast against ``q``."""
-    return np.maximum(q - theta_hi, 0.0), np.maximum(theta_lo - q, 0.0)
+def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-profile stage of :func:`waterfill` for U x n ``Q``: the 2U rows
+    ``[Q; -Q]``, the prefix sums ``c`` of each row sorted in descending order
+    ``v``, and the next value ``v_{k+1}`` of that order, ``-inf`` past the end."""
+    Q = np.asarray(Q, dtype=float)
+    u = np.sort(Q, axis=1)
+    v = np.concatenate([u[:, ::-1], -u])
+    below = np.concatenate([v[:, 1:], np.full((v.shape[0], 1), -np.inf)], axis=1)
+    return np.concatenate([Q, -Q]), np.cumsum(v, axis=1), below
+
+
+def _levels(prefix, phi2) -> np.ndarray:
+    """The per-rate stage of :func:`waterfill`: the top levels of the rows of a
+    :func:`_prefix` at 2U x K rates, ``(c_k - phi) / k`` at the first k where
+    it is ``>= v_{k+1}``."""
+    _, c, below = prefix
+    n = c.shape[1]
+    theta = (c[:, None, :] - np.asarray(phi2, dtype=float)[:, :, None]) / np.arange(1, n + 1)
+    first = (theta >= below[:, None, :]).argmax(axis=2)
+    return theta.reshape(-1, n)[np.arange(first.size), first.ravel()].reshape(first.shape)
 
 
 def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -190,23 +219,14 @@ def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
     ``Q`` is U x n, one PMF per row, and ``phi`` U x K, each rate in
     ``[0, critical rate of its row]`` (not validated).  Both levels are
     U x K: ``sum(max(theta_lo - q, 0)) == sum(max(q - theta_hi, 0)) == phi``.
-    For ``v`` = a row sorted in descending order, the top level is
-    ``(cumsum(v)_k - phi) / k`` at the first k where it is ``>= v_{k+1}``;
-    the bottom level is minus the top level of ``-q``, exactly in floating
-    point, so one sort and one scan serve both.
+    The top level of a row is that of :func:`_levels`; the bottom level is
+    minus the top level of ``-q``, exactly in floating point, so one sort
+    and one scan serve both.  :func:`_prefix` holds the work that does not
+    depend on the rate, which a profile keeps for its later solves.
     """
-    u = np.sort(np.asarray(Q, dtype=float), axis=1)
     phi = np.asarray(phi, dtype=float)
-    U, n = u.shape
-    v = np.concatenate([u[:, ::-1], -u])
-    k = np.arange(1, n + 1)
-    theta = (np.cumsum(v, axis=1)[:, None, :] - np.concatenate([phi, phi])[:, :, None]) / k
-    valid = np.empty(theta.shape, dtype=bool)
-    valid[:, :, -1] = True
-    np.greater_equal(theta[:, :, :-1], v[:, None, 1:], out=valid[:, :, :-1])
-    first = valid.argmax(axis=2)
-    level = theta.reshape(-1, n)[np.arange(first.size), first.ravel()].reshape(first.shape)
-    return -level[U:], level[:U]
+    level = _levels(_prefix(Q), np.concatenate([phi, phi]))
+    return -level[len(phi):], level[:len(phi)]
 
 
 def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
@@ -220,13 +240,13 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     the apparent profile is ``q`` clipped to ``[theta_lo, theta_hi]``.
     """
     requested, eff, clamped = _effective_rate(profile, phi)
-    q = profile.q
-    theta_lo, theta_hi = waterfill(q[None, :], np.array([[eff]]))
-    theta_lo, theta_hi = float(theta_lo[0, 0]), float(theta_hi[0, 0])
-    s, r = _strategy_arrays(q, theta_lo, theta_hi)  # the constructor snaps them
+    prefix = profile._prefix = profile._prefix or _prefix(profile.q[None, :])  # kept on it
+    level = _levels(prefix, [[eff], [eff]])
+    # [q; -q] minus [[theta_hi]; [-theta_lo]]: -q + theta_lo is exactly theta_lo - q
+    s, r = np.maximum(prefix[0] - level, 0.0)  # the constructor snaps them
     return DeferralStrategy(
         s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested, clamped=clamped,
-        theta_hi=theta_hi, theta_lo=theta_lo,
+        theta_hi=float(level[0, 0]), theta_lo=-float(level[1, 0]),
     )
 
 
@@ -398,13 +418,17 @@ def solve_grid_oracle(
 def relative_privacy_gain(profile: ActivityProfile, entropy_bits):
     """Relative privacy gain in percent, ``100 * (P - H(q)) / H(q)``.
 
-    ``entropy_bits`` may be a float or an array of privacy levels; the
-    result broadcasts with it, and ``H(q)`` is computed once per call.
+    ``entropy_bits`` may be a finite float or an array of them; the result
+    takes its form, and ``H(q)`` is computed once per call.
     """
+    if np.asarray(entropy_bits).dtype.kind not in "iuf":
+        raise ValueError(f"entropy_bits must be finite numbers, got {entropy_bits!r}")
+    bits = finite_array("entropy_bits", entropy_bits)
     base = entropy(profile.q)
     if base == 0.0:
         raise ValueError("relative privacy gain undefined: profile has zero entropy")
-    return 100.0 * (entropy_bits - base) / base
+    gain = 100.0 * (bits - base) / base
+    return gain if gain.ndim else float(gain)
 
 
 @dataclass(frozen=True)
@@ -430,9 +454,9 @@ def privacy_deferral_curve(
     requested = [_check_phi(phi) for phi in phis]
     if not requested:
         return []
-    q = profile.q
-    theta_lo, theta_hi = waterfill(q[None, :], np.minimum([requested], critical_rate(profile)))
-    s, r = map(_snap, _strategy_arrays(q, theta_lo.T, theta_hi.T))
-    bits = entropy_rows(_apparent(q, s, r))
+    prefix = profile._prefix = profile._prefix or _prefix(profile.q[None, :])
+    level = _levels(prefix, np.minimum([requested] * 2, critical_rate(profile)))
+    s, r = _snap(np.maximum(prefix[0][:, None, :] - level[:, :, None], 0.0))
+    bits = entropy_rows(_apparent(profile.q, s, r))
     gains = relative_privacy_gain(profile, bits).tolist()
     return [PrivacyCurvePoint(*point) for point in zip(requested, bits.tolist(), gains)]

@@ -13,6 +13,7 @@ from deferral import (
     SlotScheme,
     TimestampRecord,
     ingest,
+    relative_privacy_gain,
     solve_grid_oracle,
     solve_optimal,
     steady_state,
@@ -32,8 +33,8 @@ def simulation(**kwargs):
     return SimConfig(**{"profile": PROFILE, "strategy": STRATEGY, "alpha": 10, "cycles": 10, **kwargs})
 
 
-def strategy(phi):
-    return DeferralStrategy(s=[0.1, 0, 0, 0], r=[0, 0, 0, 0.1], phi=phi, q_ref=PROFILE)
+def strategy(phi, **kwargs):
+    return DeferralStrategy(s=[0.1, 0, 0, 0], r=[0, 0, 0, 0.1], phi=phi, q_ref=PROFILE, **kwargs)
 
 
 #: (call with the value, parameter as its messages name it, bad values), and
@@ -56,6 +57,10 @@ PARAMETERS = [
     (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
+    (lambda v: strategy(0.1, requested_phi=v), "requested_phi", [True, -0.1, 1.0, NAN, INF, "0.1", 0.05]),
+    (lambda v: strategy(0.1, requested_phi=0.2, clamped=v), "clamped", [False, 1, "yes", None]),
+    (lambda v: strategy(0.1, clamped=v), "clamped", [True, 0, "no", None], "unclamped "),
+    (lambda v: relative_privacy_gain(PROFILE, v), "entropy_bits", [True, NAN, INF, -INF, "1.5", None, [1.0, NAN]]),
     (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
     (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9]),
     (lambda v: simulation(cycles=v), "cycles", [True, 0, -1, 2.5, NAN, INF, "10"]),

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +78,32 @@ class TestDeferralStrategy:
             DeferralStrategy(
                 s=[float("nan"), 0, 0], r=[0, 0, 0], phi=0.0, q_ref=profile(THREE)
             )
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (0.1, "q has shape (3,), s (), r (3,)"),
+            ([[0.1, 0, 0]], "q has shape (3,), s (1, 3), r (3,)"),
+            ([0.1, 0], "q has 3 slots, s 2, r 3"),
+        ],
+    )
+    def test_rejects_a_misshapen_strategy_by_its_shapes(self, s, message):
+        with pytest.raises(ValueError, match=re.escape(f"infeasible strategy: shape mismatch: {message}")):
+            DeferralStrategy(s=s, r=[0, 0, 0.1], phi=0.1, q_ref=profile(THREE))
+
+    def test_s_and_r_are_read_only_rows_of_one_array(self):
+        strat = DeferralStrategy(s=[0.1, 0, 0], r=[0, 0, 0.1], phi=0.1, q_ref=profile(THREE))
+        assert strat.s.base is strat.r.base is not None
+        assert not (strat.s.flags.writeable or strat.r.flags.writeable)
+
+    def test_clamping_is_recorded_as_given(self):
+        kwargs = dict(s=[0.1, 0, 0], r=[0, 0, 0.1], phi=0.1, q_ref=profile(THREE))
+        strat = DeferralStrategy(**kwargs, requested_phi=0.4, clamped=True)
+        assert (strat.requested_phi, strat.clamped) == (0.4, True)
+        with pytest.raises(ValueError, match=r"^clamped must be True \(requested_phi > phi\), got 'no'$"):
+            DeferralStrategy(**kwargs, requested_phi=0.4, clamped="no")
+        with pytest.raises(ValueError, match=r"^requested_phi must be >= phi = 0\.1, got 0\.05$"):
+            DeferralStrategy(**kwargs, requested_phi=0.05)
 
 
 class TestApparentProfile:
@@ -350,6 +379,13 @@ class TestCurveEdges:
     def test_empty_grid(self):
         assert privacy_deferral_curve(profile(THREE), []) == []
 
+    def test_gain_keeps_the_form_of_its_input(self):
+        prof, base = profile(THREE), entropy(THREE)
+        gain = relative_privacy_gain(prof, 1.5)
+        assert type(gain) is float and gain == 100.0 * (1.5 - base) / base
+        gains = relative_privacy_gain(prof, np.array([[1.5, 1.0]]))
+        assert gains.shape == (1, 2) and gains[0, 0] == gain
+
 
 # -- scalar reference ---------------------------------------------------------
 # One-profile, one-rate scans that :func:`waterfill` is checked against.  The
@@ -460,6 +496,107 @@ class TestWaterfillKernel:
         assert (strat.theta_lo, strat.theta_hi) == (theta_lo[0, 0], theta_hi[0, 0])
 
 
+def ref_waterfill(Q, phi):
+    """The kernel in one stage, as it ran before profiles kept their prefix:
+    sort, prefix sums, scan and gather on every call."""
+    u = np.sort(np.asarray(Q, dtype=float), axis=1)
+    phi = np.asarray(phi, dtype=float)
+    U, n = u.shape
+    v = np.concatenate([u[:, ::-1], -u])
+    k = np.arange(1, n + 1)
+    theta = (np.cumsum(v, axis=1)[:, None, :] - np.concatenate([phi, phi])[:, :, None]) / k
+    valid = np.empty(theta.shape, dtype=bool)
+    valid[:, :, -1] = True
+    np.greater_equal(theta[:, :, :-1], v[:, None, 1:], out=valid[:, :, :-1])
+    first = valid.argmax(axis=2)
+    level = theta.reshape(-1, n)[np.arange(first.size), first.ravel()].reshape(first.shape)
+    return -level[U:], level[:U]
+
+
+ROW_KINDS = ("dirichlet-0.02", "dirichlet-1", "rounded")
+TINY_RATES = [1e-14, 1e-13, 1e-12, 1e-11]
+
+
+def drawn_rows(kinds, n, rng):
+    """Profiles of each kind; a rounded row has ties wherever two slots round alike."""
+    rows = []
+    for kind in kinds:
+        q = rng.dirichlet(np.full(n, 0.02 if kind == "dirichlet-0.02" else 1.0))
+        if kind == "rounded":
+            q = np.round(q, 2)
+        rows.append(profile(q / q.sum() if q.sum() > 0 else uniform_pmf(n)))
+    return rows
+
+
+def assert_two_stages_match_one(profs, rng):
+    """Batched levels and every solver's levels are the one-stage scan's, bit for bit."""
+    fractions = rng.uniform(0.0, 1.5, size=4).tolist() + [0.0, 1.0]
+    phi = np.array([
+        np.minimum(TINY_RATES + [f * critical_rate(p) for f in fractions], critical_rate(p))
+        for p in profs
+    ])
+    Q = np.array([p.q for p in profs])
+    want_lo, want_hi = ref_waterfill(Q, phi)
+    for got, want in zip(waterfill(Q, phi), (want_lo, want_hi)):
+        assert_same_bits(got, want)
+    for u, prof in enumerate(profs):
+        for k, rate in enumerate(phi[u]):
+            strat = solve_optimal(prof, rate)
+            got = np.array([strat.theta_lo, strat.theta_hi])
+            assert_same_bits(got, np.array([want_lo[u, k], want_hi[u, k]]))
+
+
+class TestTwoStageKernel:
+    """``waterfill`` in two stages, the per-profile prefix and the per-rate
+    levels, against the one-stage scan it replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+        n=st.sampled_from([2, 3, 24, 168]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_levels_are_the_one_stage_levels(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        assert_two_stages_match_one(drawn_rows(kinds, n, rng), rng)
+
+    def test_minute_resolution(self):
+        rng = np.random.default_rng(1440)
+        assert_two_stages_match_one(drawn_rows(ROW_KINDS, 1440, rng), rng)
+
+    def test_prefix_is_built_once_per_profile(self, monkeypatch):
+        calls = []
+        build = strategies._prefix
+
+        def counted(Q):
+            calls.append(np.shape(Q))
+            return build(Q)
+
+        monkeypatch.setattr(strategies, "_prefix", counted)
+        prof = random_profiles(24, 1, seed=5)[0]
+        grid = np.linspace(0.05, 0.7, 14)
+        for phi in [*grid, critical_rate(prof)]:
+            solve_optimal(prof, float(phi))
+        privacy_deferral_curve(prof, grid)
+        assert calls == [(1, 24)]
+
+    def test_prefix_is_not_part_of_the_profile(self):
+        prof = random_profiles(24, 1, seed=6)[0]
+        twin = copy.copy(prof)  # the same q, so that == compares it by identity
+        seen = (repr(prof), prof.to_dict())
+        solve_optimal(prof, 0.2)
+        assert prof._prefix is not None and twin._prefix is None
+        assert (repr(prof), prof.to_dict()) == seen
+        assert "_prefix" not in repr(prof) and prof == twin
+
+    def test_replaced_profile_starts_without_a_prefix(self):
+        prof, other = random_profiles(24, 2, seed=7)
+        solve_optimal(prof, 0.2)
+        moved = dataclasses.replace(prof, q=other.q)
+        assert moved._prefix is None
+        assert solve_optimal(moved, 0.2).to_dict() == solve_optimal(other, 0.2).to_dict()
+
+
 def test_grid_oracle_block_equals_full_scan():
     # reference: the scan over every grid point that the block scan replaces
     rng = np.random.default_rng(11)
@@ -487,7 +624,9 @@ def ref_feasibility_violation(q, s, r, phi):
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
     if s.shape != q.shape or r.shape != q.shape:
-        return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+        if q.ndim == s.ndim == r.ndim == 1:
+            return f"shape mismatch: q has {q.shape[0]} slots, s {s.shape[0]}, r {r.shape[0]}"
+        return f"shape mismatch: q has shape {q.shape}, s {s.shape}, r {r.shape}"
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(r))):
         return "s or r has non-finite entries"
     if np.any(s < 0):
@@ -662,6 +801,9 @@ class TestFastAcceptMatchesReference:
             ([0.5, 0.5], [float("inf"), -float("inf")], [0.0, 0.1], 0.1),
             ([[0.5, 0.5]], [[0.1, 0.0]], [[0.0, 0.1]], 0.1),
             ([[0.5, 0.5]], [[0.1, 0.0]], [[0.0, 0.2]], 0.1),
+            (THREE, 0.1, [0.0, 0.0, 0.1], 0.1),
+            (THREE, [[0.1, 0.0, 0.0]], [0.0, 0.0, 0.1], 0.1),
+            (THREE, [0.1, 0.0], [0.0, 0.0, 0.1], 0.1),
         ],
     )
     def test_edge_inputs(self, q, s, r, phi):
