@@ -46,7 +46,10 @@ def real(name, value, lo=-np.inf, hi=np.inf, *, open_lo=False, open_hi=False, wh
 
 
 def finite_array(name, values) -> np.ndarray:
-    """``values`` as a float array, refused if an entry is NaN or infinite."""
+    """``values`` as a float array, refused unless of int, uint or float kind
+    or if an entry is NaN or infinite."""
+    if np.asarray(values).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be finite numbers, got {values!r}")
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)]

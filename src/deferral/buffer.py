@@ -32,7 +32,7 @@ from .strategies import DeferralStrategy, ZERO_ATOL
 CAUSALITY_ATOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class SteadyStatePattern:
     """Steady-state buffer occupancy over one cycle.
 
@@ -76,7 +76,7 @@ class SteadyStatePattern:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class DelayDistribution:
     """Distribution of the per-message delay, in slots.
 

@@ -385,7 +385,7 @@ def nearest_rank_percentile(values, pct: float) -> float:
     return float(ordered[rank - 1])
 
 
-@dataclass
+@dataclass(eq=False)
 class PopulationStudy:
     """Per-user and aggregate results of a population experiment."""
 

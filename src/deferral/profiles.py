@@ -13,7 +13,6 @@ Every function here is pure and safe to call from multiple threads.
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -100,20 +99,22 @@ class TimestampRecord:
         real("timestamp", self.timestamp, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ActivityProfile:
     """A PMF ``q`` over the slots of ``scheme``.
 
     ``count`` is the number of messages the estimate is based on; a profile
     binned from timestamps has ``q[i] = (messages in slot i) / count``.
     Synthetic profiles may carry a count that is only a rate parameter.
+
+    Immutable, and validated once, at construction.  Profiles compare and
+    hash by identity; compare ``to_dict()`` for values.
     """
 
     scheme: SlotScheme
     q: np.ndarray
     count: float = 0.0
-    _critical_rate: Optional[float] = field(default=None, init=False, repr=False, compare=False)
-    _prefix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _critical_rate: float = field(init=False, repr=False)
 
     def __post_init__(self):
         q = _as_readonly_array(self.q)
@@ -123,8 +124,9 @@ class ActivityProfile:
                 f"scheme expects {self.scheme.n}"
             )
         _validate_pmf(q)
-        self.count = real("message count", self.count, 0.0)
-        self.q = q
+        object.__setattr__(self, "count", real("message count", self.count, 0.0))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_critical_rate", float(0.5 * np.abs(1.0 / self.n - q).sum()))
 
     @property
     def n(self) -> int:
@@ -245,8 +247,6 @@ def critical_rate(profile: ActivityProfile) -> float:
 
     Equals the total variation distance between the uniform PMF and the
     actual profile; zero exactly when the profile is already uniform.
-    Computed once per profile, on first use.
+    Computed once per profile, at construction.
     """
-    if profile._critical_rate is None:
-        profile._critical_rate = float(0.5 * np.abs(1.0 / profile.n - profile.q).sum())
     return profile._critical_rate

@@ -111,7 +111,7 @@ class SimConfig:
             raise ValueError("strategy was solved against a different profile")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimReport:
     """Empirical statistics from one simulation run.
 
@@ -306,7 +306,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ComparisonRecord:
     """Analytic predictions next to their empirical estimates.
 

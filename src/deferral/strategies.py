@@ -10,9 +10,10 @@ components of ``q`` are lowered to a common level ``theta_hi`` (that mass is
 stored), the smallest components are raised to a level ``theta_lo`` (that
 mass is forwarded), and intermediate components are untouched.
 :func:`waterfill` is the one computation of both thresholds, a sorted
-prefix-sum scan batched over profiles and rates.  A profile keeps its sorted
-prefix sums, so :func:`solve_optimal`, the one-profile, one-rate case, and
-:func:`privacy_deferral_curve` only scan at their rates.
+prefix-sum scan batched over profiles and rates.  The sorted prefix sums of
+the last profile solved are kept in a one-entry memo, so :func:`solve_optimal`,
+the one-profile, one-rate case, and :func:`privacy_deferral_curve` only scan
+at their rates when called for one profile in turn.
 :func:`solve_numerical_oracle` solves the same program with a generic
 constrained optimizer that knows nothing about that structure, and exists
 to validate the closed form; :func:`solve_grid_oracle` does the same by
@@ -50,7 +51,7 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(values) <= ZERO_ATOL, 0.0, values)
 
 
-@dataclass
+@dataclass(eq=False)
 class DeferralStrategy:
     """A feasible storing/forwarding pair for a profile.
 
@@ -66,8 +67,8 @@ class DeferralStrategy:
         The rate that was asked for; differs from ``phi`` only when the
         request exceeded the critical rate and was clamped.
     clamped : bool
-        True when ``requested_phi`` was clamped down to the critical rate;
-        refused unless it is the bool ``requested_phi > phi``.
+        True when ``requested_phi`` was clamped down to the critical rate:
+        derived, ``requested_phi > phi``.
     theta_hi, theta_lo : float or None
         Water-filling levels, populated by the solvers that know them.
 
@@ -75,7 +76,8 @@ class DeferralStrategy:
     accepted after a fixed set of five whole-array reductions (two sums, two
     minima, one maximum); the ordered checks that name the first violated
     constraint run only when one of those fails.  ``s`` and ``r`` of one
-    shape are kept as the read-only rows of one snapped array.
+    shape are kept as the read-only rows of one snapped array.  Strategies
+    compare by identity; compare ``to_dict()`` for values.
     """
 
     s: np.ndarray
@@ -83,10 +85,10 @@ class DeferralStrategy:
     phi: float
     q_ref: ActivityProfile
     requested_phi: Optional[float] = None
-    clamped: bool = False
+    clamped: bool = field(init=False)
     theta_hi: Optional[float] = None
     theta_lo: Optional[float] = None
-    _t: np.ndarray = field(init=False, repr=False, compare=False)
+    _t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.phi = _check_phi(self.phi)
@@ -95,9 +97,7 @@ class DeferralStrategy:
         requested = self.requested_phi = _check_phi(self.requested_phi, "requested_phi")
         if requested < self.phi:
             raise ValueError(f"requested_phi must be >= phi = {self.phi!r}, got {requested!r}")
-        clamp = requested > self.phi
-        if self.clamped is not clamp:
-            raise ValueError(f"clamped must be {clamp} (requested_phi > phi), got {self.clamped!r}")
+        self.clamped = requested > self.phi
         s, r = np.asarray(self.s, dtype=float), np.asarray(self.r, dtype=float)
         self.s, self.r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
         violation = feasibility_violation(self.q_ref.q, self.s, self.r, self.phi)
@@ -183,12 +183,11 @@ def _check_phi(phi: float, name: str = "deferral rate") -> float:
     return real(name, phi, 0.0, 1.0, open_hi=True)
 
 
-def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float, bool]:
-    """``(requested, effective, clamped)``: ``phi`` checked, then clamped to
-    the critical rate of ``profile``."""
+def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float]:
+    """``(requested, effective)``: ``phi`` checked, then clamped to the
+    critical rate of ``profile``."""
     requested = _check_phi(phi)
-    phi_crit = critical_rate(profile)
-    return requested, min(requested, phi_crit), requested > phi_crit
+    return requested, min(requested, critical_rate(profile))
 
 
 def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,6 +199,12 @@ def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = np.concatenate([u[:, ::-1], -u])
     below = np.concatenate([v[:, 1:], np.full((v.shape[0], 1), -np.inf)], axis=1)
     return np.concatenate([Q, -Q]), np.cumsum(v, axis=1), below
+
+
+@functools.lru_cache(maxsize=1)
+def _profile_prefix(profile: ActivityProfile):
+    """The :func:`_prefix` of one profile, kept for the last profile only."""
+    return _prefix(profile.q[None, :])
 
 
 def _levels(prefix, phi2) -> np.ndarray:
@@ -222,7 +227,7 @@ def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
     The top level of a row is that of :func:`_levels`; the bottom level is
     minus the top level of ``-q``, exactly in floating point, so one sort
     and one scan serve both.  :func:`_prefix` holds the work that does not
-    depend on the rate, which a profile keeps for its later solves.
+    depend on the rate, which :func:`_profile_prefix` keeps for one profile.
     """
     phi = np.asarray(phi, dtype=float)
     level = _levels(_prefix(Q), np.concatenate([phi, phi]))
@@ -239,13 +244,13 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     The storing/forwarding supports are disjoint (``s[k] * r[k] == 0``) and
     the apparent profile is ``q`` clipped to ``[theta_lo, theta_hi]``.
     """
-    requested, eff, clamped = _effective_rate(profile, phi)
-    prefix = profile._prefix = profile._prefix or _prefix(profile.q[None, :])  # kept on it
+    requested, eff = _effective_rate(profile, phi)
+    prefix = _profile_prefix(profile)
     level = _levels(prefix, [[eff], [eff]])
     # [q; -q] minus [[theta_hi]; [-theta_lo]]: -q + theta_lo is exactly theta_lo - q
     s, r = np.maximum(prefix[0] - level, 0.0)  # the constructor snaps them
     return DeferralStrategy(
-        s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested, clamped=clamped,
+        s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested,
         theta_hi=float(level[0, 0]), theta_lo=-float(level[1, 0]),
     )
 
@@ -276,13 +281,12 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
         If the optimizer fails to converge within 1000 iterations;
         the message carries the best entropy found.
     """
-    requested, eff, clamped = _effective_rate(profile, phi)
+    requested, eff = _effective_rate(profile, phi)
     q = profile.q
     n = profile.n
     if eff == 0.0:
         return DeferralStrategy(
-            s=np.zeros(n), r=np.zeros(n), phi=0.0, q_ref=profile,
-            requested_phi=requested, clamped=clamped,
+            s=np.zeros(n), r=np.zeros(n), phi=0.0, q_ref=profile, requested_phi=requested
         )
 
     try:  # lazily: its import takes ~0.5 s and only the oracle uses it
@@ -345,10 +349,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     mass = r.sum()
     if mass > 0:
         r *= eff / mass
-    return DeferralStrategy(
-        s=s, r=r, phi=eff, q_ref=profile,
-        requested_phi=requested, clamped=clamped,
-    )
+    return DeferralStrategy(s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested)
 
 
 def _compositions(n: int, total: int) -> np.ndarray:
@@ -394,7 +395,7 @@ def solve_grid_oracle(
     (t, entropy_bits)
         The best grid point and its entropy.
     """
-    _, eff, _ = _effective_rate(profile, phi)
+    _, eff = _effective_rate(profile, phi)
     step = real("step", step, 0.0, 0.5, open_lo=True)
     n = profile.n
     if n > 4:
@@ -421,8 +422,6 @@ def relative_privacy_gain(profile: ActivityProfile, entropy_bits):
     ``entropy_bits`` may be a finite float or an array of them; the result
     takes its form, and ``H(q)`` is computed once per call.
     """
-    if np.asarray(entropy_bits).dtype.kind not in "iuf":
-        raise ValueError(f"entropy_bits must be finite numbers, got {entropy_bits!r}")
     bits = finite_array("entropy_bits", entropy_bits)
     base = entropy(profile.q)
     if base == 0.0:
@@ -454,7 +453,7 @@ def privacy_deferral_curve(
     requested = [_check_phi(phi) for phi in phis]
     if not requested:
         return []
-    prefix = profile._prefix = profile._prefix or _prefix(profile.q[None, :])
+    prefix = _profile_prefix(profile)
     level = _levels(prefix, np.minimum([requested] * 2, critical_rate(profile)))
     s, r = _snap(np.maximum(prefix[0][:, None, :] - level[:, :, None], 0.0))
     bits = entropy_rows(_apparent(profile.q, s, r))

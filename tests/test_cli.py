@@ -368,6 +368,16 @@ class TestPopulationStudy:
         ]
         assert not out.exists()
 
+    def test_empty_grid_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["population", "study", "--synth", "3", "--phi-grid", "0:1:0",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "bad phi grid '0:1:0': no points", "type": "ValueError"}
+        ]
+        assert not out.exists()
+
     def test_infinite_concentration_named(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["population", "study", "--synth", "3", "--concentration", "inf",

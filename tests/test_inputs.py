@@ -46,6 +46,7 @@ PARAMETERS = [
     (lambda v: SlotScheme(v, 100.0), "slot count", [True, 1, -3, 2.5, NAN, INF, "4"]),
     (lambda v: SlotScheme(4, v), "period", [True, 0, -1.0, NAN, INF, -INF, "100"]),
     (SCHEME.slot_of, "timestamp", [NAN, INF, -INF, [0.0, NAN]]),
+    (SCHEME.slot_of, "timestamp", [True, "60", ["60"], None], "slot_of "),
     (lambda v: TimestampRecord("u", v), "timestamp", [True, -1.0, NAN, INF, "60"]),
     (lambda v: ActivityProfile(SCHEME, PROFILE.q, count=v), "message count", [True, -1, NAN, INF, "3"]),
     (lambda v: ingest("absent.csv", tz_offset=v), "tz_offset", [True, NAN, INF, -INF, "3600"]),
@@ -58,8 +59,6 @@ PARAMETERS = [
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
     (lambda v: strategy(0.1, requested_phi=v), "requested_phi", [True, -0.1, 1.0, NAN, INF, "0.1", 0.05]),
-    (lambda v: strategy(0.1, requested_phi=0.2, clamped=v), "clamped", [False, 1, "yes", None]),
-    (lambda v: strategy(0.1, clamped=v), "clamped", [True, 0, "no", None], "unclamped "),
     (lambda v: relative_privacy_gain(PROFILE, v), "entropy_bits", [True, NAN, INF, -INF, "1.5", None, [1.0, NAN]]),
     (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
     (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9]),

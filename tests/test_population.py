@@ -27,7 +27,7 @@ from deferral.population import (
     study,
     synth_population,
 )
-from deferral.buffer import delay_distribution, steady_state
+from deferral.buffer import analyze_buffer, delay_distribution, steady_state
 from deferral.profiles import (
     ActivityProfile,
     SlotScheme,
@@ -35,6 +35,7 @@ from deferral.profiles import (
     critical_rate,
     uniform_pmf,
 )
+from deferral.simulate import SimConfig, empirical_vs_analytic
 from deferral.strategies import privacy_deferral_curve, solve_optimal
 
 HOUR = 3600.0
@@ -186,6 +187,11 @@ class TestIngest:
         expected = np.zeros(24)
         expected[0], expected[13], expected[22] = 2 / 6, 3 / 6, 1 / 6
         assert np.allclose(prof.q, expected)
+
+    def test_unknown_format_refused(self, tmp_path):
+        path = write_csv(tmp_path / "log.csv", [("u", "60")])
+        with pytest.raises(ValueError, match=r"^unknown format 'xml'; expected 'csv' or 'jsonl'$"):
+            ingest(path, format="xml")
 
     def test_empty_file_fatal(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -906,12 +912,48 @@ class TestStudy:
     def test_rejects_empty_or_mixed(self):
         with pytest.raises(ValueError, match="at least one user"):
             study({}, [0.1])
+        with pytest.raises(ValueError, match="^empty phi grid$"):
+            study(synth_population(2, seed=1), [])
         users = {
             "a": ActivityProfile(SlotScheme.day(), uniform_pmf(24), count=10.0),
             "b": ActivityProfile(SlotScheme(12, 86400.0), uniform_pmf(12), count=10.0),
         }
         with pytest.raises(ValueError, match="slot scheme"):
             study(users, [0.1])
+
+
+    def test_leaves_every_profile_as_it_was(self):
+        users = synth_population(5, seed=3)
+        seen = {user: (repr(prof), dict(vars(prof))) for user, prof in users.items()}
+        study(users, [0.1, 0.3])
+        assert {user: (repr(prof), vars(prof)) for user, prof in users.items()} == seen
+
+    def test_keeps_no_memory_per_user(self):
+        users = synth_population(2000, seed=6)
+        grid = [0.1, 0.3]
+        study(synth_population(2, seed=7), grid)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            study(users, grid)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # measured 10 B per user; a prefix kept on each profile is about 1.6 kB
+        assert kept < 200 * len(users), kept
+
+
+def test_results_compare_by_identity():
+    def build():
+        users = synth_population(2, seed=5)
+        prof = users["user000"]
+        strat = solve_optimal(prof, 0.1)
+        pattern, _, dist = analyze_buffer(strat)
+        record = empirical_vs_analytic(SimConfig(profile=prof, strategy=strat, alpha=100, cycles=5))
+        return [prof, strat, pattern, dist, record.report, record, study(users, [0.1])]
+
+    for x, y in zip(build(), build()):
+        assert x == x and x != y, type(x).__name__
 
 
 class TestWriteCsvs:

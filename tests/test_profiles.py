@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -114,6 +115,14 @@ class TestActivityProfile:
         path.write_text(json.dumps(data))  # as Infinity or NaN, which json.load accepts
         with pytest.raises(ValueError, match=rf"^{message}$"):
             ActivityProfile.load(path)
+
+    def test_is_immutable(self):
+        prof = ActivityProfile(hourly_scheme(4), [0.7, 0.1, 0.1, 0.1], count=10)
+        for field, value in [("q", [0.1, 0.1, 0.1, 0.7]), ("q", [0.5, 0.5, 0.5, -0.5]), ("count", 5.0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prof, field, value)
+        assert prof.q.tolist() == [0.7, 0.1, 0.1, 0.1] and prof.count == 10.0
+        assert critical_rate(prof) == pytest.approx(0.45, abs=1e-12)
 
     def test_roundtrip(self, tmp_path):
         prof = ActivityProfile(hourly_scheme(4), [0.1, 0.2, 0.3, 0.4], count=10)

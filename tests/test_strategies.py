@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import re
 import warnings
@@ -98,10 +97,12 @@ class TestDeferralStrategy:
 
     def test_clamping_is_recorded_as_given(self):
         kwargs = dict(s=[0.1, 0, 0], r=[0, 0, 0.1], phi=0.1, q_ref=profile(THREE))
-        strat = DeferralStrategy(**kwargs, requested_phi=0.4, clamped=True)
+        strat = DeferralStrategy(**kwargs, requested_phi=0.4)
         assert (strat.requested_phi, strat.clamped) == (0.4, True)
-        with pytest.raises(ValueError, match=r"^clamped must be True \(requested_phi > phi\), got 'no'$"):
-            DeferralStrategy(**kwargs, requested_phi=0.4, clamped="no")
+        strat = DeferralStrategy(**kwargs, requested_phi=0.1)
+        assert (strat.requested_phi, strat.clamped) == (0.1, False)
+        with pytest.raises(TypeError, match="clamped"):
+            DeferralStrategy(**kwargs, requested_phi=0.4, clamped=True)
         with pytest.raises(ValueError, match=r"^requested_phi must be >= phi = 0\.1, got 0\.05$"):
             DeferralStrategy(**kwargs, requested_phi=0.05)
 
@@ -580,21 +581,27 @@ class TestTwoStageKernel:
         privacy_deferral_curve(prof, grid)
         assert calls == [(1, 24)]
 
-    def test_prefix_is_not_part_of_the_profile(self):
-        prof = random_profiles(24, 1, seed=6)[0]
-        twin = copy.copy(prof)  # the same q, so that == compares it by identity
-        seen = (repr(prof), prof.to_dict())
-        solve_optimal(prof, 0.2)
-        assert prof._prefix is not None and twin._prefix is None
-        assert (repr(prof), prof.to_dict()) == seen
-        assert "_prefix" not in repr(prof) and prof == twin
+    def test_solving_leaves_the_profile_as_it_was(self):
+        profs = [random_profiles(24, 1, seed=6)[0], profile(THREE)]
+        seen = [(repr(prof), prof.to_dict(), dict(vars(prof))) for prof in profs]
+        for prof in profs:
+            solve_optimal(prof, 0.2)
+            privacy_deferral_curve(prof, [0.1, 0.3])
+            solve_numerical_oracle(prof, 0.05)
+        solve_grid_oracle(profs[1], 0.1, step=1e-2)
+        assert [(repr(prof), prof.to_dict(), vars(prof)) for prof in profs] == seen
 
-    def test_replaced_profile_starts_without_a_prefix(self):
+    def test_replaced_profile_solves_as_its_new_q(self):
         prof, other = random_profiles(24, 2, seed=7)
         solve_optimal(prof, 0.2)
         moved = dataclasses.replace(prof, q=other.q)
-        assert moved._prefix is None
         assert solve_optimal(moved, 0.2).to_dict() == solve_optimal(other, 0.2).to_dict()
+
+    def test_at_most_one_prefix_is_kept(self):
+        for prof in random_profiles(24, 3, seed=8):
+            solve_optimal(prof, 0.2)
+            privacy_deferral_curve(prof, [0.1])
+            assert strategies._profile_prefix.cache_info().currsize <= 1
 
 
 def test_grid_oracle_block_equals_full_scan():
