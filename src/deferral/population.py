@@ -12,8 +12,8 @@ and capacity at the critical rate, and the aggregate traffic profile before
 and after deferral.  Everything is emitted as plain CSV tables; outputs are
 deterministic functions of the inputs and the seed.
 
-Per-user computations are independent (parallelizable if desired); table
-writes happen serially, so output files are never partially interleaved.
+Per-user computations are independent (parallelizable if desired); tables
+are written one at a time, each rewritten in place (``profiles._overwrite``).
 """
 
 import csv

@@ -12,6 +12,9 @@ Every function here is pure and safe to call from multiple threads.
 
 import csv
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +28,30 @@ DAY_SECONDS = 86_400.0
 WEEK_SECONDS = 7 * 86_400.0
 
 
+@contextmanager
+def _overwrite(path, newline=None):
+    """``open(path, "w", encoding="utf-8")`` without ``O_TRUNC``: the body
+    overwrites the file in place, then a regular file (not a pipe or device)
+    is cut to its new length, which costs a file system far less than emptying
+    a just-written file.  Interrupted, it holds the new prefix, then the old tail."""
+    def opener(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, "w", encoding="utf-8", newline=newline, opener=opener) as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_table(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write one CSV table, rewriting ``path`` in place (see ``_overwrite``)."""
+    with _overwrite(path, newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one JSON file, rewriting ``path`` in place (see ``_overwrite``)."""
+    with _overwrite(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

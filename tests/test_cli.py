@@ -429,6 +429,20 @@ class TestPopulationStudy:
                      "capacity_pmf.csv", "aggregate_profiles.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_rerun_into_one_dir_matches_a_fresh_dir(self, tmp_path):
+        # tables shrink and grow again: every rewrite is cut to its new length
+        names = ("phicrit_hist.csv", "gain_percentiles.csv", "delay_pmf.csv",
+                 "capacity_pmf.csv", "aggregate_profiles.csv")
+        reused = tmp_path / "reused"
+        for run, steps in enumerate((14, 3, 14)):
+            args = ["population", "study", "--synth", "6", "--phi-grid", f"0.05:0.7:{steps}",
+                    "--seed", "8", "--out-dir"]
+            fresh = tmp_path / f"fresh{run}"
+            assert main(args + [str(reused)]) == 0
+            assert main(args + [str(fresh)]) == 0
+            for name in names:
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes(), (run, name)
+
 
 class TestParser:
     def test_log_readers_share_their_options(self):

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deferral.cli import main
 from deferral.population import ingest
 from deferral.profiles import (
     PMF_ATOL,
@@ -13,6 +16,8 @@ from deferral.profiles import (
     SlotScheme,
     TimestampRecord,
     _validate_pmf,
+    _write_json,
+    _write_table,
     critical_rate,
     entropy,
     entropy_rows,
@@ -349,3 +354,102 @@ class TestProperties:
         prof = ActivityProfile(scheme, bumped)
         assert critical_rate(prof) > 0
         assert np.abs(prof.q - 1 / 24).max() > 1e-9
+
+
+def write_rows(path, size):
+    rows = [[i, i / 7, "r"] for i in range(size)]
+    _write_table(path, ["i", "x", "s"], rows)
+    return "".join(",".join(map(str, row)) + "\r\n" for row in [["i", "x", "s"], *rows]).encode()
+
+
+def write_payload(path, size):
+    payload = {"q": [i / 7 for i in range(size)], "label": "é"}
+    _write_json(path, payload)
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+class TestWriters:
+    """Every output file is rewritten in place and then cut to length: the
+    bytes and the file mode are those of ``open(path, "w")``, the inode and a
+    symlink are kept, and pipes and devices are written but never cut."""
+
+    WRITERS = pytest.mark.parametrize("write", [write_rows, write_payload], ids=["table", "json"])
+
+    @WRITERS
+    def test_new_file_takes_the_umask(self, tmp_path, write):
+        old = os.umask(0o002)
+        try:
+            expected = write(tmp_path / "new", 5)
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new").read_bytes() == expected
+        assert (tmp_path / "new").stat().st_mode & 0o777 == 0o666 & ~0o002
+
+    @WRITERS
+    def test_rewrites_leave_exactly_the_new_bytes(self, tmp_path, write):
+        path = tmp_path / "out"
+        write(path, 3)
+        inode = path.stat().st_ino
+        for size in (200, 2, 0, 40):
+            expected = write(path, size)
+            assert path.read_bytes() == expected
+            assert path.stat().st_ino == inode
+
+    @WRITERS
+    def test_symlink_target_is_rewritten(self, tmp_path, write):
+        target, link = tmp_path / "target", tmp_path / "link"
+        write(target, 100)
+        link.symlink_to(target)
+        expected = write(link, 4)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == expected
+
+    @WRITERS
+    def test_dev_null(self, write):
+        write(os.devnull, 50)
+
+    @WRITERS
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_written_not_cut(self, write):
+        read_fd, write_fd = os.pipe()
+        received = []
+
+        def drain():
+            with os.fdopen(read_fd, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            expected = write(f"/dev/fd/{write_fd}", 3000)  # more than one pipe buffer
+        finally:
+            os.close(write_fd)
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [expected]
+
+    @WRITERS
+    def test_missing_directory_and_directory_refused(self, tmp_path, write):
+        with pytest.raises(FileNotFoundError):
+            write(tmp_path / "absent" / "out", 1)
+        with pytest.raises(IsADirectoryError):
+            write(tmp_path, 1)
+
+    def test_study_tables_never_opened_with_truncation(self, tmp_path, monkeypatch):
+        args = ["population", "study", "--synth", "4", "--phi-grid", "0.1:0.5:3",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        opened, os_open = [], os.open
+
+        def recording_open(path, flags, *rest, **kwargs):
+            opened.append((os.path.basename(path), flags))
+            return os_open(path, flags, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main(args) == 0
+        tables = [(name, flags) for name, flags in opened if name.endswith(".csv")]
+        assert sorted(name for name, _ in tables) == [
+            "aggregate_profiles.csv", "capacity_pmf.csv", "delay_pmf.csv",
+            "gain_percentiles.csv", "phicrit_hist.csv",
+        ]
+        assert not any(flags & os.O_TRUNC for _, flags in tables)
