@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,32 +27,31 @@ DAY_SECONDS = 86_400.0
 WEEK_SECONDS = 7 * 86_400.0
 
 
-@contextmanager
-def _overwrite(path, newline=None):
-    """``open(path, "w", encoding="utf-8")`` without ``O_TRUNC``: the body
-    overwrites the file in place, then a regular file (not a pipe or device)
-    is cut to its new length, which costs a file system far less than emptying
-    a just-written file.  Interrupted, it holds the new prefix, then the old tail."""
-    def opener(name, flags):
-        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+def _no_truncate(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
-    with open(path, "w", encoding="utf-8", newline=newline, opener=opener) as fh:
-        yield fh
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+
+def _overwrite(path, write, newline=None) -> None:
+    """``write(fh)`` into ``open(path, "w", encoding="utf-8")`` opened without
+    ``O_TRUNC``: it overwrites the file in place, then a regular file (not a
+    pipe or device) that was longer is cut to its new length, which costs a
+    file system far less than emptying a just-written file.  Not crash-safe:
+    see README "Encoding"."""
+    with open(path, "w", encoding="utf-8", newline=newline, opener=_no_truncate) as fh:
+        old = os.fstat(fh.fileno())
+        write(fh)
+        if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
             fh.truncate()
 
 
 def _write_table(path, header, rows) -> None:
     """Write one CSV table, rewriting ``path`` in place (see ``_overwrite``)."""
-    with _overwrite(path, newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    _overwrite(path, lambda fh: csv.writer(fh).writerows([header, *rows]), newline="")
 
 
 def _write_json(path, payload) -> None:
     """Write one JSON file, rewriting ``path`` in place (see ``_overwrite``)."""
-    with _overwrite(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _overwrite(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
 
 
 def _as_readonly_array(values) -> np.ndarray:

@@ -390,7 +390,7 @@ class TestWriters:
         path = tmp_path / "out"
         write(path, 3)
         inode = path.stat().st_ino
-        for size in (200, 2, 0, 40):
+        for size in (200, 2, 0, 40, 40):
             expected = write(path, size)
             assert path.read_bytes() == expected
             assert path.stat().st_ino == inode
