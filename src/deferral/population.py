@@ -375,14 +375,15 @@ def synth_population(
     return profiles
 
 
-def nearest_rank_percentile(values, pct: float) -> float:
-    """Nearest-rank percentile: smallest value covering ``pct`` percent."""
+def nearest_rank_percentile(values, pct: float):
+    """Nearest-rank percentile: smallest value covering ``pct`` percent; for
+    2-d ``values``, the array of each column's, from one sort."""
     pct = real("percentile pct", pct, 0.0, 100.0)
-    ordered = np.sort(np.asarray(values, dtype=float))
+    ordered = np.sort(np.asarray(values, dtype=float), axis=0)
     if ordered.size == 0:
         raise ValueError("percentile of an empty collection")
-    rank = max(1, int(np.ceil(pct / 100.0 * ordered.size)))
-    return float(ordered[rank - 1])
+    rank = max(1, int(np.ceil(pct / 100.0 * len(ordered))))
+    return ordered[rank - 1].copy() if ordered.ndim > 1 else float(ordered[rank - 1])
 
 
 @dataclass(eq=False)
@@ -445,10 +446,11 @@ def _write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
         lo = float(values.min())
     if hi is None:
         hi = float(values.max())
-    edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram would use
+    edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram builds for range=(lo, hi)
     if np.any(edges[:-1] >= edges[1:]):  # too narrow a range (or none) to split
         hi = lo + 1.0
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    split = np.all(edges[:-1] < edges[1:])  # else np.histogram builds (and checks) the edges
+    counts, edges = np.histogram(values, bins=edges if split else bins, range=(lo, hi))
     pmf = (counts / max(counts.sum(), 1)).tolist()  # all 0.0 if no value is in range
     edges = edges.tolist()
     header = [f"{label}_bin_left", f"{label}_bin_right", "count", "pmf"]
@@ -459,14 +461,14 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     """Run the per-user analyses and aggregate them.
 
     For each grid rate every user applies ``min(phi, own critical rate)``;
-    delay and capacity are evaluated at each user's critical rate with
-    ``alpha`` the user's observed messages per period.  The mean delay of
-    delayed messages comes from Little's law: a message that waits ``d``
-    slots is counted in ``d`` end-of-slot occupancies, so the mean delay
-    over all messages is ``sum(b)`` slots and over delayed ones
-    ``sum(b) / phi``, under any extraction discipline; no delay PMF is
-    built.  An already-uniform user (critical rate 0) delays nothing and
-    gets delay 0.
+    the rates that clamp reuse the user's one critical-rate strategy, on
+    which delay and capacity are evaluated with ``alpha`` the user's
+    observed messages per period.  The mean delay of delayed messages
+    comes from Little's law: a message that waits ``d`` slots is counted
+    in ``d`` end-of-slot occupancies, so the mean delay over all messages
+    is ``sum(b)`` slots and over delayed ones ``sum(b) / phi``, under any
+    extraction discipline; no delay PMF is built.  An already-uniform user
+    (critical rate 0) delays nothing and gets delay 0.
     """
     if not users:
         raise ValueError("population study needs at least one user")
@@ -476,7 +478,6 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
 
     user_ids = list(users)
     scheme = users[user_ids[0]].scheme
-    n = scheme.n
     if any(users[u].scheme != scheme for u in user_ids):
         raise ValueError("all users in a study must share one slot scheme")
     counts = np.array([max(users[u].count, 1.0) for u in user_ids])
@@ -485,15 +486,19 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     gain_curves = np.zeros((len(user_ids), phi_grid.size))
     delay_cond = np.zeros(len(user_ids))
     cap_msgs = np.zeros(len(user_ids))
-    t_at = np.zeros((phi_grid.size, len(user_ids), n))
+    t_at = np.zeros((phi_grid.size, len(user_ids), scheme.n))
 
     for ui, user in enumerate(user_ids):
         prof = users[user]
-        phi_crit[ui] = critical_rate(prof)
-        for k, phi in enumerate(phi_grid):
-            t_at[k, ui] = solve_optimal(prof, float(phi)).apparent()  # clamps at the critical rate
+        phi_crit[ui] = crit = critical_rate(prof)
+        strat_crit = None  # solved at the first rate that clamps to it, else after the grid
+        for k, phi in enumerate(phi_grid.tolist()):
+            if phi >= crit and strat_crit is None:
+                strat_crit = solve_optimal(prof, crit)
+            t_at[k, ui] = (solve_optimal(prof, phi) if phi < crit else strat_crit).apparent()
         gain_curves[ui] = relative_privacy_gain(prof, entropy_rows(t_at[:, ui]))
-        strat_crit = solve_optimal(prof, phi_crit[ui])
+        if strat_crit is None:
+            strat_crit = solve_optimal(prof, crit)
         pattern = steady_state(strat_crit, counts[ui])
         cap_msgs[ui] = buffer_capacity(pattern)
         delay_cond[ui] = pattern.b.sum() / phi_crit[ui] if phi_crit[ui] > 0 else 0.0
@@ -504,12 +509,7 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     )
     aggregate_after = np.einsum("u,kun->kn", weights, t_at)
 
-    percentiles = {
-        pct: np.array(
-            [nearest_rank_percentile(gain_curves[:, k], pct) for k in range(phi_grid.size)]
-        )
-        for pct in (10, 50, 90)
-    }
+    percentiles = {pct: nearest_rank_percentile(gain_curves, pct) for pct in (10, 50, 90)}
 
     return PopulationStudy(
         user_ids=user_ids,

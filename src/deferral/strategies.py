@@ -31,7 +31,8 @@ rate grid can be evaluated concurrently.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -51,7 +52,6 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(values) <= ZERO_ATOL, 0.0, values)
 
 
-@dataclass(eq=False)
 class DeferralStrategy:
     """A feasible storing/forwarding pair for a profile.
 
@@ -72,40 +72,45 @@ class DeferralStrategy:
     theta_hi, theta_lo : float or None
         Water-filling levels, populated by the solvers that know them.
 
-    Validated once, at construction, against ``q_ref``: a feasible pair is
-    accepted after a fixed set of five whole-array reductions (two sums, two
-    minima, one maximum); the ordered checks that name the first violated
-    constraint run only when one of those fails.  ``s`` and ``r`` of one
-    shape are kept as the read-only rows of one snapped array.  Strategies
-    compare by identity; compare ``to_dict()`` for values.
+    Immutable: the attributes are read-only properties, and validated once,
+    at construction, against ``q_ref``.  A feasible pair is accepted after
+    a fixed set of five whole-array reductions (two sums, two minima, one
+    maximum); the ordered checks that name the first violated constraint
+    run only when one of those fails.  ``s`` and ``r`` of one shape are
+    kept as the read-only rows of one snapped array.  Strategies compare by
+    identity; compare ``to_dict()`` for values.
     """
 
-    s: np.ndarray
-    r: np.ndarray
-    phi: float
-    q_ref: ActivityProfile
-    requested_phi: Optional[float] = None
-    clamped: bool = field(init=False)
-    theta_hi: Optional[float] = None
-    theta_lo: Optional[float] = None
-    _t: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("_s", "_r", "_phi", "_q_ref", "_requested_phi", "_theta_hi", "_theta_lo", "_t")
 
-    def __post_init__(self):
-        self.phi = _check_phi(self.phi)
-        if self.requested_phi is None:
-            self.requested_phi = self.phi
-        requested = self.requested_phi = _check_phi(self.requested_phi, "requested_phi")
-        if requested < self.phi:
-            raise ValueError(f"requested_phi must be >= phi = {self.phi!r}, got {requested!r}")
-        self.clamped = requested > self.phi
-        s, r = np.asarray(self.s, dtype=float), np.asarray(self.r, dtype=float)
-        self.s, self.r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
-        violation = feasibility_violation(self.q_ref.q, self.s, self.r, self.phi)
+    def __init__(self, s, r, phi: float, q_ref: ActivityProfile, requested_phi: float = None,
+                 theta_hi: float = None, theta_lo: float = None):
+        phi = _check_phi(phi)
+        requested = _check_phi(phi if requested_phi is None else requested_phi, "requested_phi")
+        if requested < phi:
+            raise ValueError(f"requested_phi must be >= phi = {phi!r}, got {requested!r}")
+        s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
+        s, r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
+        violation = feasibility_violation(q_ref.q, s, r, phi)
         if violation:
             raise ValueError(f"infeasible strategy: {violation}")
-        self._t = _apparent(self.q_ref.q, self.s, self.r)
-        for arr in (self.s, self.r, self._t):
+        t = _apparent(q_ref.q, s, r)
+        for arr in (s, r, t):
             arr.setflags(write=False)
+        self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, requested
+        self._theta_hi, self._theta_lo, self._t = theta_hi, theta_lo, t
+
+    s, r, phi, q_ref, requested_phi, theta_hi, theta_lo = (
+        property(attrgetter(slot)) for slot in __slots__[:-1]
+    )
+
+    @property
+    def clamped(self) -> bool:
+        return self._requested_phi > self._phi
+
+    def __repr__(self) -> str:
+        names = ("s", "r", "phi", "q_ref", "requested_phi", "clamped", "theta_hi", "theta_lo")
+        return f"DeferralStrategy({', '.join(f'{k}={getattr(self, k)!r}' for k in names)})"
 
     def apparent(self) -> np.ndarray:
         """The apparent profile ``t = q - s + r``.

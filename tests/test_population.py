@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,7 @@ from deferral.profiles import (
     SlotScheme,
     TimestampRecord,
     critical_rate,
+    entropy_rows,
     uniform_pmf,
 )
 from deferral.simulate import SimConfig, empirical_vs_analytic
@@ -822,6 +824,16 @@ class TestNearestRankPercentile:
         assert nearest_rank_percentile([15, 20, 35], 0) == 15
         assert nearest_rank_percentile([15, 20, 35], 100.0) == 35
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40])
+    def test_columns_are_the_percentiles_of_each_column(self, rows):
+        values = np.random.default_rng(rows).normal(size=(rows, 5)).round(1)  # with ties
+        values[0, 1] = np.inf
+        for pct in (0, 10, 50, 90, 100):
+            got = nearest_rank_percentile(values, pct)
+            want = [nearest_rank_percentile(values[:, k], pct) for k in range(5)]
+            assert got.dtype == np.float64 and got.tolist() == want
+            assert type(want[0]) is float
+
 
 class TestStudy:
     def test_all_uniform_population(self):
@@ -943,6 +955,177 @@ class TestStudy:
         assert kept < 200 * len(users), kept
 
 
+def ref_study(users, phi_grid):
+    """The scalar reference of ``study``: one solve per user and grid rate,
+    one more at the critical rate, and one percentile call per rate."""
+    if not users:
+        raise ValueError("population study needs at least one user")
+    phi_grid = np.array([population._check_phi(phi) for phi in phi_grid])
+    if phi_grid.size == 0:
+        raise ValueError("empty phi grid")
+
+    user_ids = list(users)
+    scheme = users[user_ids[0]].scheme
+    n = scheme.n
+    if any(users[u].scheme != scheme for u in user_ids):
+        raise ValueError("all users in a study must share one slot scheme")
+    counts = np.array([max(users[u].count, 1.0) for u in user_ids])
+
+    phi_crit = np.zeros(len(user_ids))
+    gain_curves = np.zeros((len(user_ids), phi_grid.size))
+    delay_cond = np.zeros(len(user_ids))
+    cap_msgs = np.zeros(len(user_ids))
+    t_at = np.zeros((phi_grid.size, len(user_ids), n))
+
+    for ui, user in enumerate(user_ids):
+        prof = users[user]
+        phi_crit[ui] = critical_rate(prof)
+        for k, phi in enumerate(phi_grid):
+            t_at[k, ui] = population.solve_optimal(prof, float(phi)).apparent()
+        gain_curves[ui] = population.relative_privacy_gain(prof, entropy_rows(t_at[:, ui]))
+        strat_crit = population.solve_optimal(prof, phi_crit[ui])
+        pattern = population.steady_state(strat_crit, counts[ui])
+        cap_msgs[ui] = population.buffer_capacity(pattern)
+        delay_cond[ui] = pattern.b.sum() / phi_crit[ui] if phi_crit[ui] > 0 else 0.0
+
+    weights = counts / counts.sum()
+    aggregate_before = np.einsum("u,un->n", weights, np.array([users[u].q for u in user_ids]))
+    aggregate_after = np.einsum("u,kun->kn", weights, t_at)
+
+    percentiles = {
+        pct: np.array(
+            [nearest_rank_percentile(gain_curves[:, k], pct) for k in range(phi_grid.size)]
+        )
+        for pct in (10, 50, 90)
+    }
+
+    return population.PopulationStudy(
+        user_ids=user_ids,
+        scheme=scheme,
+        phi_grid=phi_grid,
+        phi_crit=phi_crit,
+        gain_curves=gain_curves,
+        gain_percentiles=percentiles,
+        delay_conditional_slots=delay_cond,
+        delay_conditional_hours=delay_cond * scheme.slot_duration / 3600.0,
+        capacity_messages=cap_msgs,
+        capacity_relative_pct=100.0 * cap_msgs / counts,
+        aggregate_before=aggregate_before,
+        aggregate_after=aggregate_after,
+    )
+
+
+def ref_write_hist(path, values, bins: int, lo=None, hi=None, label="value"):
+    """The scalar reference of ``_write_hist``: ``np.histogram`` builds the edges."""
+    values = np.asarray(values, dtype=float)
+    if lo is None:
+        lo = float(values.min())
+    if hi is None:
+        hi = float(values.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        hi = lo + 1.0
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    pmf = (counts / max(counts.sum(), 1)).tolist()
+    edges = edges.tolist()
+    header = [f"{label}_bin_left", f"{label}_bin_right", "count", "pmf"]
+    population._write_table(path, header, zip(edges[:-1], edges[1:], counts.tolist(), pmf))
+
+
+STUDY_ARRAYS = (
+    "phi_grid", "phi_crit", "gain_curves", "delay_conditional_slots", "delay_conditional_hours",
+    "capacity_messages", "capacity_relative_pct", "aggregate_before", "aggregate_after",
+)
+
+
+def outcome(call, users, grid, out_dir):
+    """``(arrays as bytes, table bytes)`` of a study, or its error."""
+    try:
+        result = call(users, grid)
+    except ValueError as exc:
+        return repr(exc)
+    arrays = [result.user_ids] + [
+        (a.dtype, a.shape, a.tobytes())
+        for a in [getattr(result, name) for name in STUDY_ARRAYS]
+        + [result.gain_percentiles[pct] for pct in (10, 50, 90)]
+    ]
+    writer = ref_write_hist if call is ref_study else population._write_hist
+    with mock.patch.object(population, "_write_hist", writer):
+        tables = [path.read_bytes() for path in result.write_csvs(out_dir)]
+    return arrays, tables
+
+
+@st.composite
+def cohorts(draw):
+    """A cohort of Dirichlet(0.05, 1 or 50) and uniform users, and a grid of
+    rates in any order, with repeats, 0, one user's exact critical rate and
+    a rate above every critical rate."""
+    n = draw(st.sampled_from([3, 24, 168]))
+    scheme = SlotScheme(n, 86400.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users = {}
+    kinds = draw(st.lists(st.sampled_from([0.05, 1.0, 50.0, None]), min_size=1, max_size=6))
+    for u, kind in enumerate(kinds):
+        q = uniform_pmf(n) if kind is None else rng.dirichlet(np.full(n, kind))
+        users[f"u{u}"] = ActivityProfile(scheme, q, count=float(draw(st.integers(0, 5000))))
+    crit = [critical_rate(p) for p in users.values()]
+    rates = draw(st.lists(st.floats(0.0, 0.99), max_size=6))
+    rates += [0.0, draw(st.sampled_from(crit)), (max(crit) + 1.0) / 2]
+    rates += draw(st.lists(st.sampled_from(rates), max_size=3))  # repeats
+    return users, draw(st.permutations(rates))
+
+
+class TestStudyMatchesScalarReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cohort=cohorts())
+    def test_arrays_and_tables_match(self, tmp_path_factory, cohort):
+        users, grid = cohort
+        out = tmp_path_factory.mktemp("study")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # such as the snapping of a dust-level rate
+            want = outcome(ref_study, users, grid, out / "ref")
+            assert outcome(study, users, grid, out / "new") == want
+
+    def test_one_solve_per_rate_below_the_critical_rate_plus_one(self):
+        users = synth_population(12, concentration=0.7, seed=8)
+        users["flat"] = ActivityProfile(SlotScheme.day(), uniform_pmf(24), count=9.0)
+        grid = [0.6, 0.05, 0.3, 0.0, 0.3, 0.9, 0.15]
+        crit = np.array([critical_rate(p) for p in users.values()])
+        with mock.patch.object(population, "solve_optimal", wraps=solve_optimal) as solve:
+            study(users, grid)
+        below = (np.array(grid)[None, :] < crit[:, None]).sum()
+        assert 0 < below < crit.size * len(grid)
+        assert solve.call_count == below + len(users)
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.3], [0.1, 0.99, 0.5]])
+    def test_first_error_is_the_references(self, grid):
+        q = np.zeros(24)
+        q[5] = 1.0  # one slot: zero entropy, so its gain is undefined
+        others = list(synth_population(6, seed=4).items())
+        one = ("one", ActivityProfile(SlotScheme.day(), q, count=1.0))
+        users = dict(others[:3] + [one] + others[3:])
+        raised = []
+        for call in (ref_study, study):
+            with mock.patch.object(
+                population, "relative_privacy_gain", wraps=population.relative_privacy_gain
+            ) as gain:
+                with pytest.raises(ValueError) as err:
+                    call(users, grid)
+            raised.append((str(err.value), gain.call_args.args[0]))
+        assert raised[0] == raised[1]
+        assert raised[1] == ("relative privacy gain undefined: profile has zero entropy", users["one"])
+
+    def test_snapped_mass_refused_as_by_the_reference(self):
+        q = np.zeros(1440)
+        q[:2] = [0.34, 1 - 0.34]
+        users = {"u": ActivityProfile(SlotScheme(1440, 86400.0), q, count=100.0)}
+        for grid in ([0.1, 1e-9], [0.999, 1e-9]):
+            with pytest.raises(ValueError) as want:
+                ref_study(users, grid)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                study(users, grid)
+
+
 def test_results_compare_by_identity():
     def build():
         users = synth_population(2, seed=5)
@@ -1011,6 +1194,33 @@ class TestWriteHist:
         edges, counts = self.read(tmp_path / "h.csv")
         want_counts, want_edges = np.histogram(values, bins=16, range=(min(values), max(values)))
         assert edges == want_edges.tolist() and counts == want_counts.tolist()
+
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            ([12.0, 12.0, 12.0], None, None),  # all equal
+            (np.linspace(0.0, 1.0, 17).tolist() + [0.5, 1.0], None, None),  # on every edge
+            (np.linspace(0.0, 1.0, 21).tolist()[:-1], 0.0, 1.0),
+            ([0.0, 0.3, 0.3, 0.95, 1.0, 1.5, -0.5, float("nan")], 0.0, 1.0),  # out of range
+            ([3.0, 7.5, 4.25, 12.0, 1e-300], None, None),
+            ([1.0, float("inf")], None, None),
+            ([-float("inf"), 1.0], None, None),
+            ([float("nan"), 1.0], None, None),
+            ([1e17, 1e17], None, None),
+        ],
+    )
+    def test_tables_and_errors_match_the_reference(self, tmp_path, values, lo, hi):
+        got = []
+        for write in (population._write_hist, ref_write_hist):
+            path = tmp_path / f"{write.__name__}.csv"
+            try:
+                with np.errstate(all="ignore"):  # the edges of an infinite range
+                    write(path, values, bins=16 if lo is None else 20, lo=lo, hi=hi, label="x")
+            except ValueError as exc:
+                got.append(repr(exc))
+            else:
+                got.append(path.read_bytes())
+        assert got[0] == got[1]
 
     @pytest.mark.parametrize(
         "values",

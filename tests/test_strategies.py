@@ -106,6 +106,24 @@ class TestDeferralStrategy:
         with pytest.raises(ValueError, match=r"^requested_phi must be >= phi = 0\.1, got 0\.05$"):
             DeferralStrategy(**kwargs, requested_phi=0.05)
 
+    def test_is_immutable(self):
+        strat = solve_optimal(profile(THREE), 0.1)
+        before = strat.to_dict()
+        # every attribute, and a new one: a strategy has no instance dict
+        for name in ["s", "r", "phi", "q_ref", "requested_phi", "clamped", "theta_hi", "theta_lo", "t"]:
+            with pytest.raises(AttributeError):
+                setattr(strat, name, 0.3)
+            with pytest.raises(AttributeError):
+                delattr(strat, name)
+        assert strat.to_dict() == before
+
+    def test_repr_names_every_attribute(self):
+        strat = solve_optimal(profile(THREE), 0.4)
+        assert repr(strat) == (
+            f"DeferralStrategy(s={strat.s!r}, r={strat.r!r}, phi={strat.phi!r}, q_ref={strat.q_ref!r}, "
+            f"requested_phi=0.4, clamped=True, theta_hi={strat.theta_hi!r}, theta_lo={strat.theta_lo!r})"
+        )
+
 
 class TestApparentProfile:
     def test_zero_strategy_is_identity(self):
