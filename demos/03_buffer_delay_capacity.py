@@ -16,24 +16,22 @@ from deferral import (
     DeferralStrategy,
     SlotScheme,
     analyze_buffer,
-    capacity,
     critical_rate,
-    delay_distribution,
     solve_optimal,
-    steady_state,
     uniform_pmf,
 )
 
 print("--- tiny case: store 10% in slot 2, release it in slot 1 ---")
+# a uniform profile has critical rate 0, so this hand-built strategy is above
+# it; the analysis still holds exactly
 prof4 = ActivityProfile(SlotScheme(4, 86400.0), uniform_pmf(4), count=1000)
 strat = DeferralStrategy(s=[0, 0.1, 0, 0], r=[0.1, 0, 0, 0], phi=0.1, q_ref=prof4)
-pattern = steady_state(strat, alpha=1000)
+pattern, cap, dist = analyze_buffer(strat, alpha=1000)
 print(f"cycle starts at slot {pattern.start_index}; occupancy per reordered slot:")
 print(f"  b  = {pattern.b.tolist()}")
 print(f"  s' = {pattern.s_prime.tolist()}")
 print(f"  r' = {pattern.r_prime.tolist()}")
-print(f"capacity = {capacity(pattern):.0f} messages per 1000/day")
-dist = delay_distribution(pattern)
+print(f"capacity = {cap:.0f} messages per 1000/day")
 print(f"delay pmf over 1..4 slots = {dist.pmf.tolist()}")
 print(f"every delayed message waits exactly {dist.expected_conditional:.0f} slots\n")
 

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from ._checks import real
-from .profiles import critical_rate
 from .strategies import DeferralStrategy, ZERO_ATOL
 
 #: Slack allowed when checking that prefix sums stay nonnegative.
@@ -269,18 +268,13 @@ def analyze_buffer(
     """Steady-state pattern, capacity and delay distribution of a strategy.
 
     ``alpha`` defaults to the message count of the strategy's profile, which
-    is then refused as an ``alpha`` of 0 if the profile carries none.
-    Refuses strategies whose rate exceeds the profile's critical rate: the
-    steady-state delay analysis is meaningful only up to that point.
+    is then refused as an ``alpha`` of 0 if the profile carries none.  The
+    analysis holds for every balanced, causal strategy, including one above
+    its profile's critical rate, such as acceptance criterion 6's single
+    flow; :func:`steady_state` and :func:`forwarding_hazards` refuse the rest.
     """
     if alpha is None:
         alpha = strat.q_ref.count
-    phi_crit = critical_rate(strat.q_ref)
-    if strat.phi > phi_crit + 1e-9:
-        raise ValueError(
-            f"deferral rate {strat.phi!r} exceeds the critical rate {phi_crit!r}; "
-            "the steady-state analysis does not cover over-perturbed strategies"
-        )
     pattern = steady_state(strat, alpha)
     dist = delay_distribution(pattern)
     return pattern, capacity(pattern), dist

@@ -377,9 +377,12 @@ def synth_population(
 
 def nearest_rank_percentile(values, pct: float):
     """Nearest-rank percentile: smallest value covering ``pct`` percent; for
-    2-d ``values``, the array of each column's, from one sort."""
+    2-d ``values`` of numbers, the array of each column's, from one sort."""
     pct = real("percentile pct", pct, 0.0, 100.0)
-    ordered = np.sort(np.asarray(values, dtype=float), axis=0)
+    array = np.asarray(values)
+    if array.ndim == 0 or array.dtype.kind not in "iuf":
+        raise ValueError(f"values must be a sequence of numbers, got {values!r}")
+    ordered = np.sort(array.astype(float, copy=False), axis=0)
     if ordered.size == 0:
         raise ValueError("percentile of an empty collection")
     rank = max(1, int(np.ceil(pct / 100.0 * len(ordered))))

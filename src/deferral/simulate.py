@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer
-from .buffer import capacity as pattern_capacity
-from .buffer import delay_distribution, forwarding_hazards, steady_state
+from .buffer import analyze_buffer, forwarding_hazards, steady_state
 from .profiles import ActivityProfile
 from .strategies import ZERO_ATOL, DeferralStrategy
 
@@ -83,9 +82,9 @@ def _marginal_draw(hypergeometric, counts, total, take):
     return drawn
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulation run."""
+    """Configuration of one simulation run; immutable, checked when built."""
 
     profile: ActivityProfile
     strategy: DeferralStrategy
@@ -98,10 +97,11 @@ class SimConfig:
     def __post_init__(self):
         # the buffer holds at most alpha messages; numpy's multivariate draw refuses 10**9
         uniform = self.discipline == "uniform_random"
-        self.alpha = integer("alpha", self.alpha, 1, 10**9 if uniform else None)
-        self.cycles = integer("cycles", self.cycles, 1)
-        self.warmup_cycles = integer("warmup_cycles", self.warmup_cycles, 0, self.cycles)
-        self.seed = integer("seed", self.seed, 0)
+        object.__setattr__(self, "alpha", integer("alpha", self.alpha, 1, 10**9 if uniform else None))
+        object.__setattr__(self, "cycles", integer("cycles", self.cycles, 1))
+        warmup = integer("warmup_cycles", self.warmup_cycles, 0, self.cycles)
+        object.__setattr__(self, "warmup_cycles", warmup)
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if self.discipline not in _DISCIPLINES:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; pick one of {_DISCIPLINES}"
@@ -363,10 +363,7 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
             "analytic comparison requires the uniform_random discipline, "
             f"got {cfg.discipline!r}"
         )
-    pattern = steady_state(cfg.strategy, cfg.alpha)
-    dist = delay_distribution(pattern)
-    cap = pattern_capacity(pattern)
-
+    pattern, cap, dist = analyze_buffer(cfg.strategy, cfg.alpha)
     report = run_simulation(cfg, _pattern=pattern)
     m = report.measured_cycles
 

@@ -8,12 +8,11 @@ so that the apparent profile ``t = q - s + r`` has maximum Shannon entropy.
 The optimum has a two-threshold water-filling structure: the largest
 components of ``q`` are lowered to a common level ``theta_hi`` (that mass is
 stored), the smallest components are raised to a level ``theta_lo`` (that
-mass is forwarded), and intermediate components are untouched.
-:func:`waterfill` is the one computation of both thresholds, a sorted
-prefix-sum scan batched over profiles and rates.  The sorted prefix sums of
-the last profile solved are kept in a one-entry memo, so :func:`solve_optimal`,
-the one-profile, one-rate case, and :func:`privacy_deferral_curve` only scan
-at their rates when called for one profile in turn.
+mass is forwarded), and intermediate components are untouched.  The
+solvers find both in two stages: :func:`_prefix`, a sort and prefix sums of
+the profile, memoized for the last profile solved, then :func:`_levels`, a
+scan at each rate, so they only scan when called for one profile in turn.
+:func:`waterfill` is their batched public form, over profiles and rates.
 :func:`solve_numerical_oracle` solves the same program with a generic
 constrained optimizer that knows nothing about that structure, and exists
 to validate the closed form; :func:`solve_grid_oracle` does the same by
@@ -70,7 +69,7 @@ class DeferralStrategy:
         True when ``requested_phi`` was clamped down to the critical rate:
         derived, ``requested_phi > phi``.
     theta_hi, theta_lo : float or None
-        Water-filling levels, populated by the solvers that know them.
+        Finite water-filling levels, set by the solvers that know them.
 
     Immutable: the attributes are read-only properties, and validated once,
     at construction, against ``q_ref``.  A feasible pair is accepted after
@@ -89,6 +88,8 @@ class DeferralStrategy:
         requested = _check_phi(phi if requested_phi is None else requested_phi, "requested_phi")
         if requested < phi:
             raise ValueError(f"requested_phi must be >= phi = {phi!r}, got {requested!r}")
+        theta_hi = None if theta_hi is None else real("theta_hi", theta_hi)
+        theta_lo = None if theta_lo is None else real("theta_lo", theta_lo)
         s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
         s, r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
         violation = feasibility_violation(q_ref.q, s, r, phi)
@@ -451,7 +452,7 @@ def privacy_deferral_curve(
 
     The curve is nondecreasing and concave in ``phi`` and saturates at
     ``log2(n)`` once ``phi`` reaches the critical rate.  Every rate is
-    checked before any is solved; then one :func:`waterfill` call solves
+    checked before any is solved; then one :func:`_levels` call solves
     the grid, with the arithmetic of ``solve_optimal(profile, phi)``, and
     one :func:`entropy_rows` call rates its apparent profiles.
     """

@@ -243,11 +243,20 @@ class TestAnalyzeBuffer:
         with pytest.raises(ValueError, match="alpha"):
             analyze_buffer(strat)
 
-    def test_refuses_rates_beyond_critical(self):
+    def test_analyzes_rates_beyond_critical(self):
+        # acceptance criterion 6's single flow: one store slot, one forward slot
         prof = profile(uniform_pmf(4), count=100.0)  # critical rate is zero
         strat = DeferralStrategy(s=[0, 0.1, 0, 0], r=[0.1, 0, 0, 0], phi=0.1, q_ref=prof)
-        with pytest.raises(ValueError, match="critical rate"):
-            analyze_buffer(strat)
+        pattern, cap, dist = analyze_buffer(strat, 10_000.0)
+        want = steady_state(strat, 10_000.0)
+        assert pattern.start_index == want.start_index
+        for got, ref in [(pattern.b, want.b), (pattern.s_prime, want.s_prime), (pattern.r_prime, want.r_prime)]:
+            assert got.tobytes() == ref.tobytes()
+        assert cap == capacity(want)
+        want_dist = delay_distribution(want)
+        assert dist.pmf.tobytes() == want_dist.pmf.tobytes()
+        assert dist.expected_conditional == want_dist.expected_conditional
+        assert dist.pmf.tolist() == [0.0, 0.0, 0.1, 0.0]  # every delayed message waits 3 slots
 
 
 # -- scalar reference ---------------------------------------------------------

@@ -38,15 +38,16 @@ def strategy(phi, **kwargs):
 
 
 #: (call with the value, parameter as its messages name it, bad values), and
-#: a label for the ids of a row whose parameter another row checks too.  No
-#: bad value allocates: a log path that does not exist is never opened, and
-#: an alpha of 10**9 is refused before any draw.
+#: a label naming the callable: of the rows that check parameters of one name,
+#: every row but one carries a label, so that no two cases share an id (which
+#: pytest would number, renaming cases as rows are added).  No bad value
+#: allocates: a log path that does not exist is never opened, and an alpha of
+#: 10**9 is refused before any draw.
 PARAMETERS = [
     (uniform_pmf, "n", [True, 0, -1, 2.5, NAN, INF, "2"]),
     (lambda v: SlotScheme(v, 100.0), "slot count", [True, 1, -3, 2.5, NAN, INF, "4"]),
     (lambda v: SlotScheme(4, v), "period", [True, 0, -1.0, NAN, INF, -INF, "100"]),
-    (SCHEME.slot_of, "timestamp", [NAN, INF, -INF, [0.0, NAN]]),
-    (SCHEME.slot_of, "timestamp", [True, "60", ["60"], None], "slot_of "),
+    (SCHEME.slot_of, "timestamp", [NAN, INF, -INF, [0.0, NAN], True, "60", ["60"], None], "slot_of "),
     (lambda v: TimestampRecord("u", v), "timestamp", [True, -1.0, NAN, INF, "60"]),
     (lambda v: ActivityProfile(SCHEME, PROFILE.q, count=v), "message count", [True, -1, NAN, INF, "3"]),
     (lambda v: ingest("absent.csv", tz_offset=v), "tz_offset", [True, NAN, INF, -INF, "3600"]),
@@ -56,23 +57,28 @@ PARAMETERS = [
     (lambda v: synth_population(2, mean_messages=v), "mean_messages", [True, 0, -1.0, NAN, INF, "9", 1e19]),
     (lambda v: synth_population(2, seed=v), "seed", [True, -1, 1.5, NAN, INF, "0"]),
     (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
+    (lambda v: nearest_rank_percentile(v, 50), "values", [5.0, True, None, ["a", "b"], [True, False]]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
     (lambda v: strategy(0.1, requested_phi=v), "requested_phi", [True, -0.1, 1.0, NAN, INF, "0.1", 0.05]),
+    (lambda v: strategy(0.1, theta_hi=v), "theta_hi", [True, NAN, INF, -INF, "0.1"]),
+    (lambda v: strategy(0.1, theta_lo=v), "theta_lo", [True, NAN, INF, -INF, "0.1"]),
     (lambda v: relative_privacy_gain(PROFILE, v), "entropy_bits", [True, NAN, INF, -INF, "1.5", None, [1.0, NAN]]),
     (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
-    (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9]),
+    (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9], "SimConfig "),
     (lambda v: simulation(cycles=v), "cycles", [True, 0, -1, 2.5, NAN, INF, "10"]),
     (lambda v: simulation(warmup_cycles=v), "warmup_cycles", [True, -1, 10, 1.5, NAN, "2"]),
-    (lambda v: simulation(seed=v), "seed", [True, -1, 1.0, NAN, INF, "0"]),
+    (lambda v: simulation(seed=v), "seed", [True, -1, 1.0, NAN, INF, "0"], "SimConfig "),
     (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
 ]
+IDS = [f"{''.join(label)}{name}={bad!r}" for _, name, values, *label in PARAMETERS for bad in values]
+assert len(set(IDS)) == len(IDS), sorted({i for i in IDS if IDS.count(i) > 1})
 
 
 @pytest.mark.parametrize(
     "call, name, bad",
     [(call, name, bad) for call, name, values, *_ in PARAMETERS for bad in values],
-    ids=[f"{''.join(label)}{name}={bad!r}" for _, name, values, *label in PARAMETERS for bad in values],
+    ids=IDS,
 )
 def test_bad_value_refused_by_name(call, name, bad):
     with pytest.raises(ValueError) as info:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import sys
 from unittest import mock
 
@@ -93,6 +94,25 @@ class TestSimConfig:
         strat = solve_optimal(profile(rng.dirichlet(np.ones(12))), 0.05)
         with pytest.raises(ValueError, match="different profile"):
             SimConfig(profile=day, strategy=strat, alpha=10, cycles=10)
+
+    def test_is_immutable(self):
+        cfg = single_flow_cfg(cycles=5)
+        other = profile([0.4, 0.3, 0.2, 0.1])
+        for field, value in [
+            ("profile", other), ("strategy", solve_optimal(other, 0.05)), ("alpha", 2.5),
+            ("cycles", 0), ("warmup_cycles", 9), ("discipline", "bogus"), ("seed", -1),
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, value)
+        assert (cfg.alpha, cfg.cycles, cfg.discipline) == (10_000, 5, "uniform_random")
+
+    def test_replace_is_checked_as_construction(self):
+        cfg = single_flow_cfg(cycles=5)
+        with pytest.raises(ValueError, match="unknown discipline 'bogus'"):
+            dataclasses.replace(cfg, discipline="bogus")
+        with pytest.raises(ValueError, match="^cycles must be an integer >= 1, got 0$"):
+            dataclasses.replace(cfg, cycles=0)
+        assert dataclasses.replace(cfg, seed=7).seed == 7
 
 
 class TestRunSimulation:
@@ -253,7 +273,9 @@ class TestEmpiricalVsAnalytic:
             empirical_vs_analytic(single_flow_cfg(discipline="fifo"))
 
     def test_solves_the_steady_state_once(self):
-        with mock.patch.object(simulate, "steady_state", wraps=steady_state) as spy:
+        # the analysis solves it in buffer, the simulation could in simulate
+        spy = mock.Mock(wraps=steady_state)
+        with mock.patch.object(simulate, "steady_state", spy), mock.patch.object(buffer, "steady_state", spy):
             empirical_vs_analytic(random_cfg(seed=55, cycles=5))
         assert spy.call_count == 1
 

@@ -389,7 +389,7 @@ class TestCurveEdges:
         def unexpected(*args):
             raise AssertionError("solved before every rate was checked")
 
-        monkeypatch.setattr(strategies, "waterfill", unexpected)
+        monkeypatch.setattr(strategies, "_levels", unexpected)
         message = rf"^deferral rate must lie in \[0, 1\), got {bad!r}$"
         for prof in (profile(THREE), profile([0.0, 1.0, 0.0])):
             with pytest.raises(ValueError, match=message):
