@@ -23,7 +23,7 @@ from .population import ingest, study, synth_population
 from .profiles import ActivityProfile, SlotScheme, _write_json, _write_table
 from .simulate import SimConfig, empirical_vs_analytic, run_simulation
 from .strategies import (
-    _check_phi,
+    _check_rates,
     privacy_deferral_curve,
     solve_numerical_oracle,
     solve_optimal,
@@ -44,8 +44,7 @@ def _parse_phi_grid(spec: str) -> np.ndarray:
         raise ValueError(f"bad phi grid {spec!r}; expected start:stop:steps") from exc
     if grid.size == 0:
         raise ValueError(f"bad phi grid {spec!r}: no points")
-    for phi in grid:
-        _check_phi(phi)
+    _check_rates("phi_grid", grid)
     return grid
 
 

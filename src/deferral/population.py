@@ -38,7 +38,7 @@ from .profiles import (
     critical_rate,
     entropy_rows,
 )
-from .strategies import _check_phi, relative_privacy_gain, solve_optimal
+from .strategies import _check_rates, relative_privacy_gain, solve_optimal
 
 
 def _parse_timestamp(raw) -> float:
@@ -384,7 +384,7 @@ def nearest_rank_percentile(values, pct: float):
         raise ValueError(f"values must be a sequence of numbers, got {values!r}")
     ordered = np.sort(array.astype(float, copy=False), axis=0)
     if ordered.size == 0:
-        raise ValueError("percentile of an empty collection")
+        raise ValueError("values must not be empty")
     rank = max(1, int(np.ceil(pct / 100.0 * len(ordered))))
     return ordered[rank - 1].copy() if ordered.ndim > 1 else float(ordered[rank - 1])
 
@@ -475,7 +475,7 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     """
     if not users:
         raise ValueError("population study needs at least one user")
-    phi_grid = np.array([_check_phi(phi) for phi in phi_grid])  # every rate before any user
+    phi_grid = np.array(_check_rates("phi_grid", phi_grid))  # every rate before any user
     if phi_grid.size == 0:
         raise ValueError("empty phi grid")
 

@@ -160,6 +160,12 @@ class ActivityProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ActivityProfile":
+        keys = ("n", "period_seconds", "q")
+        if not isinstance(data, dict):
+            raise ValueError(f"profile must be an object with {', '.join(keys)}, got {type(data).__name__}")
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise ValueError(f"profile is missing {', '.join(missing)}")
         scheme = SlotScheme(data["n"], data["period_seconds"])
         return cls(scheme=scheme, q=data["q"], count=data.get("count", 0.0))
 

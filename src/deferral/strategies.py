@@ -20,8 +20,8 @@ brute-force enumeration for small alphabets.
 
 Beyond the critical rate (the total variation distance between ``q`` and
 uniform) the apparent profile is already uniform and extra deferral buys
-nothing, so rates above it are clamped, with the clamping reported on the
-result.
+nothing, so rates above it are clamped.  Only the solvers record on a
+strategy the rate asked for, and only :func:`solve_optimal` its levels.
 
 All solvers are pure functions of their inputs and thread-safe; points of a
 rate grid can be evaluated concurrently.
@@ -63,13 +63,13 @@ class DeferralStrategy:
     q_ref : ActivityProfile
         The profile the strategy applies to.
     requested_phi : float
-        The rate that was asked for; differs from ``phi`` only when the
-        request exceeded the critical rate and was clamped.
+        The rate a solver was asked for, ``phi`` for a strategy built by
+        hand; differs from ``phi`` only when a request was clamped.
     clamped : bool
         True when ``requested_phi`` was clamped down to the critical rate:
         derived, ``requested_phi > phi``.
     theta_hi, theta_lo : float or None
-        Finite water-filling levels, set by the solvers that know them.
+        The water-filling levels of :func:`solve_optimal`, else None.
 
     Immutable: the attributes are read-only properties, and validated once,
     at construction, against ``q_ref``.  A feasible pair is accepted after
@@ -82,14 +82,8 @@ class DeferralStrategy:
 
     __slots__ = ("_s", "_r", "_phi", "_q_ref", "_requested_phi", "_theta_hi", "_theta_lo", "_t")
 
-    def __init__(self, s, r, phi: float, q_ref: ActivityProfile, requested_phi: float = None,
-                 theta_hi: float = None, theta_lo: float = None):
+    def __init__(self, s, r, phi: float, q_ref: ActivityProfile):
         phi = _check_phi(phi)
-        requested = _check_phi(phi if requested_phi is None else requested_phi, "requested_phi")
-        if requested < phi:
-            raise ValueError(f"requested_phi must be >= phi = {phi!r}, got {requested!r}")
-        theta_hi = None if theta_hi is None else real("theta_hi", theta_hi)
-        theta_lo = None if theta_lo is None else real("theta_lo", theta_lo)
         s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
         s, r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
         violation = feasibility_violation(q_ref.q, s, r, phi)
@@ -98,8 +92,8 @@ class DeferralStrategy:
         t = _apparent(q_ref.q, s, r)
         for arr in (s, r, t):
             arr.setflags(write=False)
-        self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, requested
-        self._theta_hi, self._theta_lo, self._t = theta_hi, theta_lo, t
+        self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, phi
+        self._theta_hi, self._theta_lo, self._t = None, None, t
 
     s, r, phi, q_ref, requested_phi, theta_hi, theta_lo = (
         property(attrgetter(slot)) for slot in __slots__[:-1]
@@ -185,8 +179,18 @@ def _apparent(q, s, r) -> np.ndarray:
     return np.maximum(q - s + r, 0.0)
 
 
-def _check_phi(phi: float, name: str = "deferral rate") -> float:
-    return real(name, phi, 0.0, 1.0, open_hi=True)
+def _check_phi(phi: float) -> float:
+    return real("deferral rate", phi, 0.0, 1.0, open_hi=True)
+
+
+def _check_rates(name: str, phis) -> list[float]:
+    """Every rate of ``phis``, checked in order; ``name`` names ``phis`` when
+    it cannot be iterated."""
+    try:
+        rates = iter(phis)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of deferral rates, got {phis!r}") from None
+    return [_check_phi(phi) for phi in rates]
 
 
 def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float]:
@@ -240,6 +244,14 @@ def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
     return -level[len(phi):], level[:len(phi)]
 
 
+def _solved(profile, s, r, phi, requested, levels=(None, None)) -> DeferralStrategy:
+    """A solver's strategy, with the rate asked for and its ``(theta_lo, theta_hi)``."""
+    strategy = DeferralStrategy(s, r, phi, profile)
+    strategy._requested_phi = requested
+    strategy._theta_lo, strategy._theta_hi = levels
+    return strategy
+
+
 def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     """Entropy-maximizing strategy at rate ``phi``, in closed form.
 
@@ -255,10 +267,7 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     level = _levels(prefix, [[eff], [eff]])
     # [q; -q] minus [[theta_hi]; [-theta_lo]]: -q + theta_lo is exactly theta_lo - q
     s, r = np.maximum(prefix[0] - level, 0.0)  # the constructor snaps them
-    return DeferralStrategy(
-        s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested,
-        theta_hi=float(level[0, 0]), theta_lo=-float(level[1, 0]),
-    )
+    return _solved(profile, s, r, eff, requested, (-float(level[1, 0]), float(level[0, 0])))
 
 
 def _neg_entropy_and_grad(x: np.ndarray, q: np.ndarray):
@@ -291,9 +300,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     q = profile.q
     n = profile.n
     if eff == 0.0:
-        return DeferralStrategy(
-            s=np.zeros(n), r=np.zeros(n), phi=0.0, q_ref=profile, requested_phi=requested
-        )
+        return _solved(profile, np.zeros(n), np.zeros(n), 0.0, requested)
 
     try:  # lazily: its import takes ~0.5 s and only the oracle uses it
         from scipy import optimize
@@ -355,7 +362,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     mass = r.sum()
     if mass > 0:
         r *= eff / mass
-    return DeferralStrategy(s=s, r=r, phi=eff, q_ref=profile, requested_phi=requested)
+    return _solved(profile, s, r, eff, requested)
 
 
 def _compositions(n: int, total: int) -> np.ndarray:
@@ -456,7 +463,7 @@ def privacy_deferral_curve(
     the grid, with the arithmetic of ``solve_optimal(profile, phi)``, and
     one :func:`entropy_rows` call rates its apparent profiles.
     """
-    requested = [_check_phi(phi) for phi in phis]
+    requested = _check_rates("phis", phis)
     if not requested:
         return []
     prefix = _profile_prefix(profile)

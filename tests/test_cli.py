@@ -188,6 +188,22 @@ class TestStrategySolve:
         assert data["clamped"] is True
         assert data["phi"] == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"n": 4, "period_seconds": 86400.0}, "profile is missing q"),
+            ({"period_seconds": 86400.0}, "profile is missing n, q"),
+            ([1, 2], "profile must be an object with n, period_seconds, q, got list"),
+        ],
+    )
+    def test_incomplete_profile_refused_by_name(self, tmp_path, capsys, content, message):
+        prof_path = tmp_path / "profile.json"
+        prof_path.write_text(json.dumps(content))
+        out = tmp_path / "strategy.json"
+        assert main(["strategy", "solve", "--profile", str(prof_path), "--phi", "0.1", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
+        assert not out.exists()
+
 
 class TestCurve:
     def test_uniform_profile_constant(self, tmp_path):

@@ -4,6 +4,7 @@ a ``ValueError`` that names the parameter."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from deferral import (
@@ -13,10 +14,12 @@ from deferral import (
     SlotScheme,
     TimestampRecord,
     ingest,
+    privacy_deferral_curve,
     relative_privacy_gain,
     solve_grid_oracle,
     solve_optimal,
     steady_state,
+    study,
     synth_population,
     uniform_pmf,
 )
@@ -33,8 +36,8 @@ def simulation(**kwargs):
     return SimConfig(**{"profile": PROFILE, "strategy": STRATEGY, "alpha": 10, "cycles": 10, **kwargs})
 
 
-def strategy(phi, **kwargs):
-    return DeferralStrategy(s=[0.1, 0, 0, 0], r=[0, 0, 0, 0.1], phi=phi, q_ref=PROFILE, **kwargs)
+def strategy(phi):
+    return DeferralStrategy(s=[0.1, 0, 0, 0], r=[0, 0, 0, 0.1], phi=phi, q_ref=PROFILE)
 
 
 #: (call with the value, parameter as its messages name it, bad values), and
@@ -57,12 +60,11 @@ PARAMETERS = [
     (lambda v: synth_population(2, mean_messages=v), "mean_messages", [True, 0, -1.0, NAN, INF, "9", 1e19]),
     (lambda v: synth_population(2, seed=v), "seed", [True, -1, 1.5, NAN, INF, "0"]),
     (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
-    (lambda v: nearest_rank_percentile(v, 50), "values", [5.0, True, None, ["a", "b"], [True, False]]),
+    (lambda v: nearest_rank_percentile(v, 50), "values", [5.0, True, None, ["a", "b"], [True, False], [], np.empty((0, 3))]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
-    (lambda v: strategy(0.1, requested_phi=v), "requested_phi", [True, -0.1, 1.0, NAN, INF, "0.1", 0.05]),
-    (lambda v: strategy(0.1, theta_hi=v), "theta_hi", [True, NAN, INF, -INF, "0.1"]),
-    (lambda v: strategy(0.1, theta_lo=v), "theta_lo", [True, NAN, INF, -INF, "0.1"]),
+    (lambda v: study({"u": PROFILE}, v), "phi_grid", [0.1, None, True, np.array(0.1)]),
+    (lambda v: privacy_deferral_curve(PROFILE, v), "phis", [0.1, None, True, np.array(0.1)]),
     (lambda v: relative_privacy_gain(PROFILE, v), "entropy_bits", [True, NAN, INF, -INF, "1.5", None, [1.0, NAN]]),
     (lambda v: steady_state(STRATEGY, v), "alpha", [True, 0, -1.0, NAN, INF, -INF, "10", 10**400]),
     (lambda v: simulation(alpha=v), "alpha", [True, 0, -1, 10.0, NAN, INF, "10", 10**9], "SimConfig "),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferral import population
+from deferral import population, strategies
 from deferral.population import (
     _csv_header,
     _csv_rows,
@@ -960,7 +960,7 @@ def ref_study(users, phi_grid):
     one more at the critical rate, and one percentile call per rate."""
     if not users:
         raise ValueError("population study needs at least one user")
-    phi_grid = np.array([population._check_phi(phi) for phi in phi_grid])
+    phi_grid = np.array([strategies._check_phi(phi) for phi in phi_grid])
     if phi_grid.size == 0:
         raise ValueError("empty phi grid")
 

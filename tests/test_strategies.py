@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import warnings
 
@@ -96,15 +97,15 @@ class TestDeferralStrategy:
         assert not (strat.s.flags.writeable or strat.r.flags.writeable)
 
     def test_clamping_is_recorded_as_given(self):
+        # only a solver records a request and levels: a hand-built strategy
+        # was asked for its own rate, and clamps nothing
         kwargs = dict(s=[0.1, 0, 0], r=[0, 0, 0.1], phi=0.1, q_ref=profile(THREE))
-        strat = DeferralStrategy(**kwargs, requested_phi=0.4)
-        assert (strat.requested_phi, strat.clamped) == (0.4, True)
-        strat = DeferralStrategy(**kwargs, requested_phi=0.1)
-        assert (strat.requested_phi, strat.clamped) == (0.1, False)
-        with pytest.raises(TypeError, match="clamped"):
-            DeferralStrategy(**kwargs, requested_phi=0.4, clamped=True)
-        with pytest.raises(ValueError, match=r"^requested_phi must be >= phi = 0\.1, got 0\.05$"):
-            DeferralStrategy(**kwargs, requested_phi=0.05)
+        assert list(inspect.signature(DeferralStrategy).parameters) == ["s", "r", "phi", "q_ref"]
+        strat = DeferralStrategy(**kwargs)
+        assert (strat.requested_phi, strat.clamped, strat.theta_hi, strat.theta_lo) == (0.1, False, None, None)
+        for name, value in [("requested_phi", 0.4), ("theta_hi", 1e6), ("theta_lo", -5.0), ("clamped", True)]:
+            with pytest.raises(TypeError, match=name):
+                DeferralStrategy(**kwargs, **{name: value})
 
     def test_is_immutable(self):
         strat = solve_optimal(profile(THREE), 0.1)
@@ -247,6 +248,14 @@ class TestNumericalOracle:
         prof = profile(THREE)
         strat = solve_numerical_oracle(prof, critical_rate(prof))
         assert strat.entropy_bits() == pytest.approx(np.log2(3), abs=1e-7)
+
+    @pytest.mark.parametrize("q, phi", [(THREE, 0.9), (THREE, 0.0), ([1 / 3] * 3, 0.3)])
+    def test_records_the_request_as_the_closed_form_does(self, q, phi):
+        # a clamped solve, and the early return at an effective rate of 0
+        prof = profile(q)
+        strat, closed = solve_numerical_oracle(prof, phi), solve_optimal(prof, phi)
+        assert (strat.requested_phi, strat.phi, strat.clamped) == (phi, closed.phi, closed.clamped)
+        assert (strat.theta_hi, strat.theta_lo) == (None, None)
 
     def test_output_is_feasible_and_orthogonal(self):
         prof = random_profiles(12, 1, seed=40)[0]
