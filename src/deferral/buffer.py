@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._checks import real
-from .strategies import DeferralStrategy, ZERO_ATOL
+from .strategies import DeferralStrategy
 
 #: Slack allowed when checking that prefix sums stay nonnegative.
 CAUSALITY_ATOL = 1e-12
@@ -199,11 +199,13 @@ def forwarding_hazards(pattern: SteadyStatePattern) -> np.ndarray:
     Entry ``j-1`` applies to reordered slot ``j``; the buffer is empty at
     the start of the cycle, so a forwarding event there (or after any slot
     where it is empty; the first is named) is non-causal and raises.
-    Hazards are exactly 1 at slots where the buffer drains.
+    Hazards are exactly 1 at slots where the buffer drains.  Any
+    ``r'[j] > 0`` forwards: a hand-built pattern is taken as given, so
+    ``s' = [0.1, 5e-13, 0]``, ``r' = [0, 5e-13, 0.1]`` has hazards ``[0, 5e-12, 1]``.
     """
     r = pattern.r_prime
     prev = np.concatenate(([0.0], pattern.b[:-1]))
-    forwards = r > ZERO_ATOL
+    forwards = r > 0.0
     non_causal = np.flatnonzero(forwards & (prev <= CAUSALITY_ATOL))
     if non_causal.size:
         j = int(non_causal[0]) + 1
@@ -231,7 +233,8 @@ def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     each cycle, so the support is contained in ``{1, ..., n}`` and the total
     mass equals the deferral rate.  The survival factors are one ``cumprod``
     matrix, arrival slots with storage by ``n`` delays, filled in place:
-    O(n^2) memory, about 0.09 ms at n = 168 and 8 ms at n = 1440.
+    O(n^2) memory, about 0.09 ms at n = 168 and 8 ms at n = 1440.  Any
+    ``s'[k] != 0`` arrives, as given: :func:`forwarding_hazards`' example sums to ``sum(s')``.
     """
     n = pattern.n
     s = pattern.s_prime
@@ -240,7 +243,7 @@ def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     # row i: the hazards of the n slots after the i-th arrival slot, in order,
     # from a strided view of the hazards repeated twice (np.ndarray, as
     # as_strided and sliding_window_view keep ~10 bytes a call in numpy 2.4.6)
-    k = np.flatnonzero(s > ZERO_ATOL)
+    k = np.flatnonzero(s)
     twice = np.concatenate((hazards, hazards))
     h = np.ndarray((n + 1, n), buffer=twice, strides=twice.strides * 2)[k + 1]
     terms = np.empty(h.shape)

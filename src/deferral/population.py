@@ -494,14 +494,10 @@ def study(users: dict[str, ActivityProfile], phi_grid) -> PopulationStudy:
     for ui, user in enumerate(user_ids):
         prof = users[user]
         phi_crit[ui] = crit = critical_rate(prof)
-        strat_crit = None  # solved at the first rate that clamps to it, else after the grid
+        strat_crit = solve_optimal(prof, crit)
         for k, phi in enumerate(phi_grid.tolist()):
-            if phi >= crit and strat_crit is None:
-                strat_crit = solve_optimal(prof, crit)
             t_at[k, ui] = (solve_optimal(prof, phi) if phi < crit else strat_crit).apparent()
         gain_curves[ui] = relative_privacy_gain(prof, entropy_rows(t_at[:, ui]))
-        if strat_crit is None:
-            strat_crit = solve_optimal(prof, crit)
         pattern = steady_state(strat_crit, counts[ui])
         cap_msgs[ui] = buffer_capacity(pattern)
         delay_cond[ui] = pattern.b.sum() / phi_crit[ui] if phi_crit[ui] > 0 else 0.0

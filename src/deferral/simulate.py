@@ -46,7 +46,7 @@ import numpy as np
 from ._checks import integer
 from .buffer import analyze_buffer, forwarding_hazards, steady_state
 from .profiles import ActivityProfile
-from .strategies import ZERO_ATOL, DeferralStrategy
+from .strategies import DeferralStrategy
 
 _DISCIPLINES = ("uniform_random", "fifo", "lifo")
 
@@ -107,7 +107,7 @@ class SimConfig:
                 f"unknown discipline {self.discipline!r}; pick one of {_DISCIPLINES}"
             )
         q, q_ref = self.profile.q, self.strategy.q_ref.q
-        if q.shape != q_ref.shape or not np.allclose(q, q_ref, atol=1e-12):
+        if q.shape != q_ref.shape or not np.allclose(q, q_ref, rtol=0.0, atol=1e-12):
             raise ValueError("strategy was solved against a different profile")
 
 
@@ -167,7 +167,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
     n = profile.n
 
     overlap = np.minimum(strat.s, strat.r)
-    if overlap.max() > ZERO_ATOL:
+    if overlap.max() > 0.0:
         i = int(np.argmax(overlap))
         raise ValueError(
             f"slot {i + 1} both stores and forwards; extraction semantics are "

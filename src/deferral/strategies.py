@@ -39,7 +39,7 @@ import numpy as np
 from ._checks import finite_array, real
 from .profiles import ActivityProfile, critical_rate, entropy, entropy_rows
 
-#: Strategy components closer to zero than this are snapped to zero.
+#: Strategy entries within this of zero are snapped to exactly 0; read in this module only.
 ZERO_ATOL = 1e-12
 
 #: Tolerance on the mass constraints sum(s) == sum(r) == phi.
@@ -76,8 +76,9 @@ class DeferralStrategy:
     a fixed set of five whole-array reductions (two sums, two minima, one
     maximum); the ordered checks that name the first violated constraint
     run only when one of those fails.  ``s`` and ``r`` of one shape are
-    kept as the read-only rows of one snapped array.  Strategies compare by
-    identity; compare ``to_dict()`` for values.
+    kept as the read-only rows of one snapped array, each entry exactly 0.0
+    or above ``ZERO_ATOL``: the buffer and the simulator test exact zeros.
+    Strategies compare by identity; compare ``to_dict()`` for values.
     """
 
     __slots__ = ("_s", "_r", "_phi", "_q_ref", "_requested_phi", "_theta_hi", "_theta_lo", "_t")

@@ -88,6 +88,10 @@ class TestSimConfig:
         strat = solve_optimal(other, 0.05)
         with pytest.raises(ValueError, match="different profile"):
             SimConfig(profile=prof, strategy=strat, alpha=10, cycles=10)
+        # 2e-6 apart: far beyond atol=1e-12, though within numpy's default rtol
+        near = profile([0.400002, 0.3, 0.199998, 0.1])
+        with pytest.raises(ValueError, match="different profile"):
+            SimConfig(profile=near, strategy=strat, alpha=10, cycles=10)
         # a strategy solved on another slot count
         rng = np.random.default_rng(4)
         day = profile(rng.dirichlet(np.ones(24)))
