@@ -109,6 +109,10 @@ class SimConfig:
         q, q_ref = self.profile.q, self.strategy.q_ref.q
         if q.shape != q_ref.shape or not np.allclose(q, q_ref, rtol=0.0, atol=1e-12):
             raise ValueError("strategy was solved against a different profile")
+        # each int64 run total (arrivals, stores, posts per slot) counts at most this many messages
+        if self.alpha * (self.cycles - warmup) >= 2**63:
+            got = f"{self.alpha} * {self.cycles - warmup}"
+            raise ValueError(f"alpha * (cycles - warmup_cycles) must be below 2**63, got {got}")
 
 
 @dataclass(eq=False)
@@ -120,6 +124,8 @@ class SimReport:
     the internally simulated steady-state cycle begins.
     """
 
+    rng_algorithm = RNG_ALGORITHM  # every run draws from it: not a field
+
     delay_histogram: np.ndarray
     delayed_count: int
     total_count: int
@@ -127,7 +133,6 @@ class SimReport:
     peak_occupancy: int
     per_slot_posted: np.ndarray
     seed_echo: int
-    rng_algorithm: str
     discipline: str
     start_index: int
     measured_cycles: int
@@ -157,11 +162,8 @@ class SimReport:
         }
 
 
-def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
-    """Simulate the storage and forwarding selectors for ``cfg.cycles`` cycles.
-
-    ``_pattern``, internal: the steady state of ``cfg`` if already computed.
-    """
+def run_simulation(cfg: SimConfig) -> SimReport:
+    """Simulate ``cfg.cycles`` cycles, aligned to the steady state it solves for ``cfg.strategy``."""
     profile = cfg.profile
     strat = cfg.strategy
     n = profile.n
@@ -174,7 +176,7 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
             "only defined for strategies with disjoint storing/forwarding support"
         )
 
-    pattern = steady_state(strat, cfg.alpha) if _pattern is None else _pattern
+    pattern = steady_state(strat, cfg.alpha)
     hazards = forwarding_hazards(pattern).tolist()  # raises for non-causal patterns
     start = pattern.start_index
     orig_slot = (np.arange(n) + start - 1) % n  # 0-based original slots
@@ -296,7 +298,6 @@ def run_simulation(cfg: SimConfig, *, _pattern=None) -> SimReport:
         peak_occupancy=peak,
         per_slot_posted=per_slot_posted,
         seed_echo=cfg.seed,
-        rng_algorithm=RNG_ALGORITHM,
         discipline=cfg.discipline,
         start_index=start,
         measured_cycles=measured,
@@ -363,8 +364,8 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
             "analytic comparison requires the uniform_random discipline, "
             f"got {cfg.discipline!r}"
         )
-    pattern, cap, dist = analyze_buffer(cfg.strategy, cfg.alpha)
-    report = run_simulation(cfg, _pattern=pattern)
+    _, cap, dist = analyze_buffer(cfg.strategy, cfg.alpha)
+    report = run_simulation(cfg)
     m = report.measured_cycles
 
     frac = report.delayed_fraction
@@ -382,8 +383,8 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
     else:
         cond_se = 0.0
 
-    pattern_peak = float(report.mean_occupancy.max()) if report.mean_occupancy.size else 0.0
-    band = 3.0 * float(np.sqrt(cap)) if cap > 0 else 0.0
+    pattern_peak = float(report.mean_occupancy.max())
+    band = 3.0 * float(np.sqrt(cap))
 
     flags = []
     if abs(frac - cfg.strategy.phi) > 3 * frac_se + 1e-12:

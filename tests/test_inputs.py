@@ -71,6 +71,10 @@ PARAMETERS = [
     (lambda v: simulation(cycles=v), "cycles", [True, 0, -1, 2.5, NAN, INF, "10"]),
     (lambda v: simulation(warmup_cycles=v), "warmup_cycles", [True, -1, 10, 1.5, NAN, "2"]),
     (lambda v: simulation(seed=v), "seed", [True, -1, 1.0, NAN, INF, "0"], "SimConfig "),
+    (lambda v: simulation(alpha=v, cycles=4, warmup_cycles=1, discipline="fifo"), "alpha * (cycles - warmup_cycles)",
+     [4 * 10**18, 2**63]),
+    (lambda v: simulation(alpha=10**9 - 1, cycles=v, warmup_cycles=0), "alpha * (cycles - warmup_cycles)",
+     [10**10], "SimConfig "),
     (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
 ]
 IDS = [f"{''.join(label)}{name}={bad!r}" for _, name, values, *label in PARAMETERS for bad in values]

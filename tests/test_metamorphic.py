@@ -5,6 +5,9 @@ Each tolerance is the band measured on the code it was written against; a
 relation that leaves its band is a defect to report, not a band to widen.
 """
 
+import csv
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,6 +107,19 @@ def _same_profiles(got, want, k=0):
         assert np.array_equal(got[user].q, np.roll(prof.q, k)) and got[user].count == prof.count
 
 
+def _drawn_log(scheme, seed):
+    """Users and timestamps: multiples of 1/1024 s below 2**32 over three
+    periods, some in whole seconds, a tenth of them on slot edges."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 400))
+    users = rng.choice(["a", "b", "c", "d"], size).tolist()
+    ticks = rng.integers(0, int(3 * scheme.period_seconds) * 1024, size)
+    ticks[rng.random(size) < 0.3] &= ~1023  # whole seconds
+    times = (1_700_000_000 + ticks / 1024).tolist()
+    times[: size // 10] = [1_700_006_400 + scheme.slot_duration * j for j in range(size // 10)]
+    return users, times
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.sampled_from([24, 48, 168]),
@@ -118,13 +134,7 @@ def test_shifting_the_timestamps_rotates_every_profile(tmp_path_factory, n, seed
     k %= n
     scheme = SlotScheme.week(n) if n == 168 else SlotScheme.day(n)
     slot, period = scheme.slot_duration, scheme.period_seconds
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 400))
-    users = rng.choice(["a", "b", "c", "d"], size).tolist()
-    ticks = rng.integers(0, int(3 * period) * 1024, size)
-    ticks[rng.random(size) < 0.3] &= ~1023  # whole seconds
-    times = (1_700_000_000 + ticks / 1024).tolist()
-    times[: size // 10] = [1_700_006_400 + slot * j for j in range(size // 10)]  # on slot edges
+    users, times = _drawn_log(scheme, seed)
     log = tmp_path_factory.mktemp("log")
 
     def ingested(name, shift=0.0, **kwargs):
@@ -152,3 +162,90 @@ def test_renaming_the_users_leaves_every_table_as_it_was(tmp_path_factory, names
     assert [path.name for path in written] == [path.name for path in rewritten]
     for path, twin in zip(written, rewritten):
         assert path.read_bytes() == twin.read_bytes(), path.name
+
+
+#: Largest error of a seconds-valued output (the slot length, the mean delay
+#: in hours) against c times its old value, when the period is scaled by c:
+#: 2.0 ulps of the scaled value over 2,160 cases (n from 2 to 1440, Dirichlet
+#: 0.05 to 50, periods of an hour, a day and a week, c from 1e-3 to 1e6), and
+#: none at all when c is a power of two (648 of them).
+SECONDS_ULPS = 2.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 3, 8, 24, 168, 1440]),
+    concentration=st.sampled_from([0.05, 1.0, 50.0]),
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([3600.0, 86400.0, 604800.0]),
+    c=st.sampled_from([3, 0.1, 7, 1 / 3, 60, 1e-3, 1e6, 1 / 4, 2, 8]),
+    fraction=st.sampled_from([0.3, 1.0]),
+)
+def test_scaling_the_period_scales_only_the_seconds(n, concentration, seed, period, c, fraction):
+    # Only the slot length reads the period: every slot-valued output is the
+    # same bit for bit, and each seconds-valued one is c times its old value
+    # up to its own rounding, exactly so when c is a power of two.
+    q = np.random.default_rng(seed).dirichlet(np.full(n, concentration))
+    prof = ActivityProfile(SlotScheme(n, period), q, count=1000.0)
+    scaled = ActivityProfile(SlotScheme(n, c * period), q, count=1000.0)
+    phi = fraction * critical_rate(prof)
+    strat, twin = solve_optimal(prof, phi), solve_optimal(scaled, phi)
+    assert np.array_equal(strat.s, twin.s) and np.array_equal(strat.r, twin.r)
+    assert (strat.phi, strat.theta_lo, strat.theta_hi) == (twin.phi, twin.theta_lo, twin.theta_hi)
+    pattern, capacity, delay = analyze_buffer(strat)
+    twin_pattern, twin_capacity, twin_delay = analyze_buffer(twin)
+    assert np.array_equal(pattern.b, twin_pattern.b) and capacity == twin_capacity
+    assert np.array_equal(delay.pmf, twin_delay.pmf)
+    assert delay.expected_conditional == twin_delay.expected_conditional
+    ulps = 0.0 if math.log2(c).is_integer() else SECONDS_ULPS
+    for old, new in [
+        (pattern.slot_duration, twin_pattern.slot_duration),
+        (delay.conditional_hours, twin_delay.conditional_hours),
+    ]:
+        assert abs(new - c * old) <= ulps * np.spacing(c * old)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([24, 48, 168]),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.sampled_from([2.0, 0.5, 4.0, 0.25]),
+)
+def test_scaling_the_period_and_the_timestamps_leaves_every_profile(tmp_path_factory, n, seed, c):
+    # A power of two scales every timestamp, remainder and slot length
+    # exactly, so each profile and count is the same (as on 72 logs).
+    scheme = SlotScheme.week(n) if n == 168 else SlotScheme.day(n)
+    users, times = _drawn_log(scheme, seed)
+    log = tmp_path_factory.mktemp("log")
+    base = ingest(_write_log(log / "base.csv", zip(users, times)), scheme=scheme)
+    scaled_log = _write_log(log / "scaled.csv", [(user, c * t) for user, t in zip(users, times)])
+    _same_profiles(ingest(scaled_log, scheme=SlotScheme(n, c * scheme.period_seconds)), base)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([24, 168]),
+    seed=st.integers(0, 4),
+    c=st.sampled_from([0.5, 2.0, 8.0]),
+)
+def test_scaling_the_period_scales_only_the_delay_hours(tmp_path_factory, n, seed, c):
+    # Of the five tables only the delay histogram is in hours: its bin edges
+    # are c times the old ones, exactly for a power of two, and its counts and
+    # PMF stay; the other four are byte-identical (as over 30 studies).
+    scheme = SlotScheme.week(n) if n == 168 else SlotScheme.day(n)
+    users = synth_population(20, scheme=scheme, seed=seed)
+    longer = SlotScheme(n, c * scheme.period_seconds)
+    scaled = {user: ActivityProfile(longer, prof.q, count=prof.count) for user, prof in users.items()}
+    written = study(users, GRID).write_csvs(tmp_path_factory.mktemp("study"))
+    rewritten = study(scaled, GRID).write_csvs(tmp_path_factory.mktemp("scaled"))
+    assert [path.name for path in written] == [path.name for path in rewritten]
+    for path, twin in zip(written, rewritten):
+        if path.name != "delay_pmf.csv":
+            assert path.read_bytes() == twin.read_bytes(), path.name
+            continue
+        with open(path, newline="") as fh, open(twin, newline="") as twin_fh:
+            rows, twin_rows = list(csv.reader(fh)), list(csv.reader(twin_fh))
+        assert rows[0] == twin_rows[0] and len(rows) == len(twin_rows) == 17
+        for row, twin_row in zip(rows[1:], twin_rows[1:]):
+            assert [float(x) * c for x in row[:2]] == [float(x) for x in twin_row[:2]]
+            assert row[2:] == twin_row[2:]

@@ -158,6 +158,9 @@ class TestRunSimulation:
         assert np.array_equal(a.per_cycle_delayed, b.per_cycle_delayed)
         assert a.peak_occupancy == b.peak_occupancy
         assert a.to_dict() == b.to_dict()
+        # the same for every run: a class attribute, not a field
+        assert a.to_dict()["rng_algorithm"] == a.rng_algorithm == RNG_ALGORITHM == "numpy-pcg64"
+        assert "rng_algorithm" not in SimReport.__dataclass_fields__
 
     def test_seed_changes_outcome(self):
         a = run_simulation(single_flow_cfg(seed=11))
@@ -276,19 +279,28 @@ class TestEmpiricalVsAnalytic:
         with pytest.raises(ValueError, match="uniform_random"):
             empirical_vs_analytic(single_flow_cfg(discipline="fifo"))
 
-    def test_solves_the_steady_state_once(self):
-        # the analysis solves it in buffer, the simulation could in simulate
-        spy = mock.Mock(wraps=steady_state)
-        with mock.patch.object(simulate, "steady_state", spy), mock.patch.object(buffer, "steady_state", spy):
-            empirical_vs_analytic(random_cfg(seed=55, cycles=5))
-        assert spy.call_count == 1
-
     def test_matches_buffer_module(self):
         cfg = random_cfg(seed=55)
         rec = empirical_vs_analytic(cfg)
         pattern = steady_state(cfg.strategy, float(cfg.alpha))
         assert rec.analytic_capacity == capacity(pattern)
         assert rec.analytic_pmf.sum() == pytest.approx(cfg.strategy.phi, abs=1e-9)
+
+    def test_flags_a_run_that_leaves_the_analysed_strategy(self):
+        # every forwarding slot drains in the run, while the analysis keeps the
+        # strategy's hazards: delays shorten and the buffer empties early, but
+        # every stored message is still delayed
+        cfg = random_cfg(seed=1, phi=0.2)
+        assert empirical_vs_analytic(cfg).flags == []
+
+        def draining(pattern):
+            return np.where(buffer.forwarding_hazards(pattern) > 0.0, 1.0, 0.0)
+
+        with mock.patch.object(simulate, "forwarding_hazards", draining):
+            rec = empirical_vs_analytic(cfg)
+        assert len(rec.flags) == 2
+        assert rec.flags[0].startswith("conditional delay ") and rec.flags[1].startswith("steady-pattern peak ")
+        assert not rec.peak_within_band
 
 
 class TestRandomStream:
@@ -477,7 +489,6 @@ def ref_run_simulation(cfg):
         peak_occupancy=int(peak),
         per_slot_posted=per_slot_posted,
         seed_echo=cfg.seed,
-        rng_algorithm=RNG_ALGORITHM,
         discipline=cfg.discipline,
         start_index=start,
         measured_cycles=measured,
@@ -659,6 +670,21 @@ class TestScalarReference:
         got = sim_outcome(run_simulation, cfg)
         assert got[0] == "ok" and got[1].total_count == 4 * 10**9
         assert_reports_equal(got[1], ref_run_simulation(cfg))
+
+    def test_refuses_run_totals_past_int64(self):
+        # every run total counts at most alpha * (cycles - warmup_cycles)
+        # messages in int64: one message short of 2**63 runs, and sums exactly
+        prof = profile([0.97, 0.01, 0.01, 0.01])
+        strat = solve_optimal(prof, 0.2)
+        kwargs = dict(profile=prof, strategy=strat, discipline="fifo", seed=1)
+        message = r"^alpha \* \(cycles - warmup_cycles\) must be below 2\*\*63, got 4000000000000000000 \* 3$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kwargs, alpha=4 * 10**18, cycles=4, warmup_cycles=1)
+        cfg = SimConfig(**kwargs, alpha=2**63 - 1, cycles=2, warmup_cycles=1)
+        report = run_simulation(cfg)
+        assert report.total_count == 2**63 - 1
+        assert sum(report.per_slot_posted.tolist()) == report.total_count
+        assert (report.per_slot_posted >= 0).all()
 
     def test_undrained_cycle_raises(self):
         # halved hazards: the drain slot releases only half the buffer
