@@ -25,15 +25,18 @@ call per cycle, and one multivariate hypergeometric draw per
 ``uniform_random`` partial release from two or more arrival slots.  A draw
 from at most ``_SCALAR_GROUPS`` slots is numpy's own "marginals" algorithm
 written out as a chain of scalar ``hypergeometric`` calls, which costs less
-than the fixed overhead of one ``multivariate_hypergeometric`` call; wider
-draws make that call.  Both run the same sampler with the same arguments in the
-same order, so they draw the same counts from the same random numbers and
-seeded outputs do not depend on which one a release takes.  A release of the
-whole buffer or from one arrival slot is forced: the ``fifo`` walk takes it,
-consuming no random numbers (nor would numpy's draw).  As every cycle drains,
-a cycle's delay sum is ``sum_j j*released_j - sum_i i*stored_i`` and its
-delayed count ``sum(stored)``; the occupancy after a slot is the running
-buffer level, and mean occupancy and posted counts follow from run totals.
+than the fixed overhead of one ``multivariate_hypergeometric`` call, and is
+applied to the buffer as it is drawn, one pass over the slots per release;
+wider draws make that call.  Both run the same sampler with the same arguments
+in the same order, so they draw the same counts from the same random numbers
+and seeded outputs do not depend on which one a release takes.  A release of
+the whole buffer empties every slot and draws nothing, under every
+discipline; one from a single arrival slot is forced too, and the ``fifo``
+walk takes it.  Neither consumes random numbers (nor would numpy's draw).
+As every cycle drains, a cycle's delay sum is
+``sum_j j*released_j - sum_i i*stored_i`` and its delayed count
+``sum(stored)``; the occupancy after a slot is the running buffer level,
+and mean occupancy and posted counts follow from run totals.
 
 Simulations are deterministic given the seed.  A single run is sequential;
 independent runs can execute concurrently, each with its own config.
@@ -61,25 +64,40 @@ RNG_ALGORITHM = "numpy-pcg64"
 _SCALAR_GROUPS = 6
 
 
-def _marginal_draw(hypergeometric, counts, total, take):
-    """Draw ``take`` of ``total`` messages held in groups ``counts`` without
-    replacement, exactly as numpy's "marginals" ``multivariate_hypergeometric``
-    does: the same scalar sampler called with the same arguments in the same
-    order, so the result and the random numbers consumed are the same."""
-    flip = take > total // 2
+def _draw_release(hypergeometric, held, live, total, take, hist, j):
+    """Release ``take`` of the ``total`` messages held in the arrival slots
+    ``live`` at slot ``j``, drawn without replacement exactly as numpy's
+    "marginals" ``multivariate_hypergeometric`` draws from their counts: the
+    same scalar sampler called with the same arguments in the same order, so
+    the counts and the random numbers consumed are the same.  Each count is
+    taken from ``held`` and added to ``hist`` as it is drawn; returns whether
+    a slot emptied."""
+    flip = take > total // 2  # numpy draws the complement, the messages kept
     left = total - take if flip else take
-    drawn = [0] * len(counts)
     remaining = total
-    for g in range(len(counts) - 1):
-        if not left:
+    emptied = False
+    last = live[-1]
+    for i in live:
+        c = held[i]
+        if i == last:
+            k = left
+        elif left:
+            remaining -= c
+            k = hypergeometric(c, remaining, left)
+            left -= k
+        elif flip:
+            k = 0
+        else:
             break
-        remaining -= counts[g]
-        drawn[g] = k = hypergeometric(counts[g], remaining, left)
-        left -= k
-    drawn[-1] = left
-    if flip:
-        drawn = [c - k for c, k in zip(counts, drawn)]
-    return drawn
+        if flip:
+            k = c - k
+        if k:
+            # a message stored at slot i and released now waited j - i slots
+            held[i] = c - k
+            hist[j - 1 - i] += k
+            if k == c:
+                emptied = True
+    return emptied
 
 
 @dataclass(frozen=True)
@@ -193,7 +211,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     acc = [0.0] * n  # fractional forwarding residue per reordered slot
 
     measured = cfg.cycles - cfg.warmup_cycles
-    delay_hist = np.zeros(n, dtype=np.int64)
+    delay_hist = [0] * n  # measured cycles' delays; warm-up cycles' go to a discarded list
     per_cycle_delayed = np.zeros(measured, dtype=np.int64)
     per_cycle_delay_sum = np.zeros(measured)
     # post-warmup totals per reordered slot
@@ -206,11 +224,11 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         arrivals = rng.multinomial(cfg.alpha, q_rot)
         stored = rng.binomial(arrivals, p_store)
         counting = cycle >= cfg.warmup_cycles
+        hist = delay_hist if counting else [0] * n
         # buffered messages by reordered arrival slot, and the slots that hold
         # some, oldest first: slot j sees only those stored before it
         held = stored.tolist()
         live = []
-        hist = [0] * n  # this cycle's delay histogram
         level = top = delay_sum = 0
 
         for j in range(n):
@@ -224,39 +242,43 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                     residue = acc[j] + level * h
                     take = int(residue)  # <= level: the residue stays in [0, 1) between slots
                     acc[j] = residue - take
-                if take:
-                    if uniform and take < level and len(live) > 1:
-                        counts = [held[i] for i in live]
-                        if len(live) <= _SCALAR_GROUPS:
-                            drawn = _marginal_draw(hypergeometric, counts, level, take)
-                        else:
+                if take == level:
+                    # the whole buffer, under every discipline: nothing to draw
+                    for i in live:
+                        hist[j - 1 - i] += held[i]
+                        held[i] = 0
+                    live = []
+                elif take:
+                    if uniform and 1 < len(live) <= _SCALAR_GROUPS:
+                        emptied = _draw_release(hypergeometric, held, live, level, take, hist, j)
+                    else:
+                        if uniform and len(live) > 1:
                             # an array: numpy converts a list argument slowly
                             drawn = rng.multivariate_hypergeometric(
-                                np.array(counts, dtype=np.int64), take
+                                np.array([held[i] for i in live], dtype=np.int64), take
                             ).tolist()
-                        taken = zip(live, drawn)
-                    else:
-                        taken, left = [], take
-                        for i in reversed(live) if lifo else live:
-                            k = min(held[i], left)
-                            taken.append((i, k))
-                            left -= k
-                            if not left:
-                                break
-                    # a message stored at slot i and released now waited j - i slots
-                    emptied = False
-                    for i, k in taken:
-                        if k:
-                            held[i] -= k
-                            hist[j - 1 - i] += k
-                            if not held[i]:
-                                emptied = True
+                            taken = zip(live, drawn)
+                        else:
+                            taken, left = [], take
+                            for i in reversed(live) if lifo else live:
+                                k = min(held[i], left)
+                                taken.append((i, k))
+                                left -= k
+                                if not left:
+                                    break
+                        emptied = False
+                        for i, k in taken:
+                            if k:
+                                held[i] -= k
+                                hist[j - 1 - i] += k
+                                if not held[i]:
+                                    emptied = True
                     if emptied:
                         live = [i for i in live if held[i]]
-                    level -= take
-                    if counting:
-                        released[j] += take
-                    delay_sum += j * take
+                level -= take
+                if counting:
+                    released[j] += take
+                delay_sum += j * take
             if held[j]:  # nothing released yet from this slot's own arrivals
                 live.append(j)
                 level += held[j]
@@ -273,7 +295,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             mc = cycle - cfg.warmup_cycles
             per_cycle_delayed[mc] = stored.sum()
             per_cycle_delay_sum[mc] = delay_sum
-            delay_hist += hist
             arrived += arrivals
             buffered += stored
             peak = max(peak, top)
@@ -282,6 +303,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     per_slot_posted = np.empty(n, dtype=np.int64)
     per_slot_posted[orig_slot] = arrived - net_stored
 
+    delay_hist = np.array(delay_hist, dtype=np.int64)
     delayed_count = int(delay_hist.sum())
     mean_cond = (
         float(per_cycle_delay_sum.sum() / delayed_count) if delayed_count else 0.0

@@ -18,7 +18,7 @@ from deferral.simulate import (
     RNG_ALGORITHM,
     SimConfig,
     SimReport,
-    _marginal_draw,
+    _draw_release,
     empirical_vs_analytic,
     run_simulation,
 )
@@ -343,10 +343,39 @@ class TestRandomStream:
     @example(counts=[5, 0, 8, 1], take=8, seed=2)  # a slot with no messages
     def test_scalar_chain_is_numpys_draw(self, counts, take, seed):
         take %= sum(counts) + 1
-        chain, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = _marginal_draw(chain.hypergeometric, counts, sum(counts), take)
-        assert drawn == numpy.multivariate_hypergeometric(counts, take).tolist()
+        chain, ref, numpy = (np.random.default_rng(seed) for _ in range(3))
+        want = numpy.multivariate_hypergeometric(counts, take).tolist()
+        assert _marginal_draw(ref.hypergeometric, counts, sum(counts), take) == want
+        # the slots, oldest first, released at slot j = len(counts): slot i's
+        # messages land in hist[j - 1 - i]
+        held, live, j = list(counts), list(range(len(counts))), len(counts)
+        hist = [0] * j
+        emptied = _draw_release(chain.hypergeometric, held, live, sum(counts), take, hist, j)
+        assert [c - h for c, h in zip(counts, held)] == want
+        assert hist[::-1] == want
+        assert emptied == any(k and k == c for c, k in zip(counts, want))
         assert chain.bit_generator.state == numpy.bit_generator.state
+
+
+def _marginal_draw(hypergeometric, counts, total, take):
+    """Draw ``take`` of ``total`` messages held in groups ``counts`` without
+    replacement as numpy's "marginals" ``multivariate_hypergeometric`` does,
+    one list of counts in, one out: the chain that
+    :func:`deferral.simulate._draw_release` applies to the buffer as it draws."""
+    flip = take > total // 2
+    left = total - take if flip else take
+    drawn = [0] * len(counts)
+    remaining = total
+    for g in range(len(counts) - 1):
+        if not left:
+            break
+        remaining -= counts[g]
+        drawn[g] = k = hypergeometric(counts[g], remaining, left)
+        left -= k
+    drawn[-1] = left
+    if flip:
+        drawn = [c - k for c, k in zip(counts, drawn)]
+    return drawn
 
 
 # -- scalar reference ---------------------------------------------------------
@@ -619,6 +648,13 @@ class TestScalarReference:
              alpha=5, cycles=12, warmup=1)
     @example(kind="two-slot", n=24, seed=1, fraction=1.0, discipline="lifo",
              alpha=5, cycles=12, warmup=1)
+    # the shape of the sim-validate workload: chains, multivariate draws and drains
+    @example(kind="dirichlet-1", n=24, seed=5, fraction=1.0, discipline="uniform_random",
+             alpha=10_000, cycles=25, warmup=2)
+    @example(kind="dirichlet-1", n=24, seed=5, fraction=1.0, discipline="fifo",
+             alpha=10_000, cycles=25, warmup=2)
+    @example(kind="dirichlet-1", n=24, seed=5, fraction=1.0, discipline="lifo",
+             alpha=10_000, cycles=25, warmup=2)
     def test_matches_scalar_reference(self, **config):
         status, report = assert_matches_reference(**config)
         if status == "ok":
@@ -638,12 +674,19 @@ class TestScalarReference:
         "config, widest", [(AT_SCALAR_LIMIT, _SCALAR_GROUPS), (PAST_SCALAR_LIMIT, _SCALAR_GROUPS + 1)]
     )
     def test_pinned_runs_straddle_the_scalar_limit(self, config, widest):
-        # every draw down the scalar chain, to see how many groups each had
+        # every draw down the scalar chain, to see how many groups each had;
+        # the width is read at the call, as the run appends to `live` later
+        widths = []
+
+        def spy(hypergeometric, held, live, *rest):
+            widths.append(len(live))
+            return _draw_release(hypergeometric, held, live, *rest)
+
         with mock.patch.object(simulate, "_SCALAR_GROUPS", 10**6), mock.patch.object(
-            simulate, "_marginal_draw", wraps=_marginal_draw
-        ) as spy:
+            simulate, "_draw_release", spy
+        ):
             run_simulation(drawn_config(**config))
-        assert max(len(call.args[1]) for call in spy.call_args_list) == widest
+        assert max(widths) == widest
 
     def test_many_groups_at_minute_slots(self):
         # of the partial releases from several arrival slots (about 30 on
