@@ -19,14 +19,16 @@ are written one at a time, each rewritten in place (``profiles._overwrite``).
 import csv
 import json
 import math
+import random
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import integer, real
 from .buffer import capacity as buffer_capacity
@@ -138,8 +140,9 @@ _CHUNK_ROWS = 4096
 _ISO_FORM = "0000-00-00T00:00:00Z"
 _WIDTH = len(_ISO_FORM)
 _COLUMN = np.arange(_WIDTH)[:, None]
-_ISO_CODES = np.array([[ord(ch)] for ch in _ISO_FORM], np.uint32)
-_ISO_DIGIT = _ISO_CODES == ord("0")
+_ISO_DIGITS = np.array([k for k, ch in enumerate(_ISO_FORM) if ch == "0"])  # 14 rows
+_ISO_SEPARATORS = np.array([k for k, ch in enumerate(_ISO_FORM) if ch != "0"])  # 6 rows
+_SEPARATOR_CODES = np.array([[ord(_ISO_FORM[k])] for k in _ISO_SEPARATORS], np.uint32)
 
 
 def _digit_weights(start: int, size: int) -> np.ndarray:
@@ -156,6 +159,11 @@ _FIELD_WEIGHTS = np.array(
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
 #: Days in the year before the first of month 0 (unused) to 13.
 _MONTH_START = np.cumsum([0, 0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+#: Whether year 0 (unused) to 9999 is a leap year, and the days from
+#: 1970-01-01 to its January 1.
+_YEAR = np.arange(10_000)
+_LEAP = (_YEAR % 4 == 0) & ((_YEAR % 100 != 0) | (_YEAR % 400 == 0))
+_YEAR_START = np.cumsum(365 + _LEAP) - (365 + _LEAP) - 366 - 719_162
 
 
 def _bulk_timestamps(codes: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -176,29 +184,76 @@ def _bulk_timestamps(codes: np.ndarray, length: np.ndarray) -> np.ndarray:
     is_epoch = (length >= 1) & (length <= 15) & digit.all(0)
     epoch = number / _POW10[np.clip(15 - length, 0, 15)]
 
-    is_iso = (length == _WIDTH) & np.where(_ISO_DIGIT, digit, codes == _ISO_CODES).all(0)
-    y, m = y.astype(np.int64), np.clip(mo, 0, 12).astype(np.int64)
-    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    is_iso = (length == _WIDTH) & digit[_ISO_DIGITS].all(0)
+    is_iso &= (codes[_ISO_SEPARATORS] == _SEPARATOR_CODES).all(0)
+    y, m = np.minimum(y, 9999).astype(np.int64), np.clip(mo, 0, 12).astype(np.int64)
+    leap = _LEAP[y]
     first = _MONTH_START[m] + (leap & (m > 2))  # days of the year before the month's first
     month_days = _MONTH_START[m + 1] - _MONTH_START[m] + (leap & (m == 2))
     is_iso &= (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1) & (d <= month_days)
     is_iso &= (h < 24) & (mi < 60) & (s < 60)
-    # days from 0001-01-01 to 1970-01-01: 719,162
-    days = 365 * (y - 1) + (y - 1) // 4 - (y - 1) // 100 + (y - 1) // 400 - 719_162 + first
-    iso = (days + d - 1) * 86_400 + h * 3600 + mi * 60 + s
+    iso = (_YEAR_START[y] + first + d - 1) * 86_400 + h * 3600 + mi * 60 + s
     return np.where(is_epoch, epoch, np.where(is_iso, iso, np.nan))
 
 
+def _group_ids(users):
+    """``(distinct ids, each row's index into them)`` of a sequence of ids,
+    grouped exactly."""
+    group: dict[str, int] = defaultdict()
+    group.default_factory = group.__len__  # a new id gets the next index
+    rows = np.fromiter(map(group.__getitem__, users), np.int64, len(users))
+    return list(group), rows
+
+
+#: Ids of at most this many code points are grouped by a hash of them.
+_ID_WIDTH = 64
+#: The hash's weights of an id's code points by their position: odd 64-bit
+#: integers, fixed so that grouping costs the same in every run.
+_ID_WEIGHTS = np.frombuffer(random.Random(0).randbytes(8 * _ID_WIDTH), np.uint64) | np.uint64(1)
+
+
+def _columns(codes: np.ndarray, first: np.ndarray, length: np.ndarray, width: int, pad: int):
+    """Code points ``0`` to ``width - 1`` of field ``j``, the ``length[j]``
+    code points from ``codes[first[j]]``, as column ``j``, with ``pad`` in
+    place of those after the field's end.  ``codes`` ends in at least
+    ``width - 1`` code points after the last field."""
+    rows = np.arange(width)[:, None]
+    return np.where(rows < length, sliding_window_view(codes, width)[first].T, pad)
+
+
+def _group_split(text: str, codes: np.ndarray, first: np.ndarray, length: np.ndarray):
+    """``_group_ids`` of the ids ``text[first[j] : first[j] + length[j]]``,
+    ``codes`` the code points of ``text`` (no NUL among them) and at least
+    ``_ID_WIDTH - 1`` more, with one Python string per distinct id.
+
+    A hash of each id's code points proposes the groups.  They stand only
+    if every id equals its group's representative, code point by code
+    point; else, and when an id is longer than ``_ID_WIDTH``, the ids are
+    grouped exactly, as strings.
+    """
+    width = int(length.max(initial=0))
+    if 1 <= width <= _ID_WIDTH:
+        chars = _columns(codes, first, length, width, 0)  # ids padded with NUL
+        hashes, group = np.unique(_ID_WEIGHTS[:width] @ chars, return_inverse=True)
+        head = np.empty(hashes.size, np.intp)  # of each group, one of its rows
+        head[group] = np.arange(group.size)
+        if (chars[:, head[group]] == chars).all():
+            return [text[a : a + k] for a, k in zip(first[head].tolist(), length[head].tolist())], group
+    return _group_ids([text[a : a + k] for a, k in zip(first.tolist(), length.tolist())])
+
+
 def _string_blocks(rows):
-    """``(lines, user ids, raw timestamps, codes, lengths)`` of each block
-    of ``_CHUNK_ROWS`` rows from ``_csv_rows`` or ``_jsonl_rows``, the
-    timestamps as :func:`_bulk_timestamps` takes them."""
+    """``(lines, ids, user, raw, codes, lengths)`` of each block of
+    ``_CHUNK_ROWS`` rows from ``_csv_rows`` or ``_jsonl_rows``: ``ids`` and
+    ``user`` as ``_group_ids`` gives them, ``raw(j)`` the raw timestamp of
+    row ``j``, and the timestamps as :func:`_bulk_timestamps` takes them."""
     while block := list(islice(rows, _CHUNK_ROWS)):
         lines, users, raw = zip(*block)
         text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
         length = np.fromiter(map(len, text), np.int64, len(text))
         codes = np.array(text, dtype=f"U{_WIDTH}").view(np.uint32).reshape(-1, _WIDTH).T
-        yield lines, users, raw, np.where(_COLUMN < length, codes, ord("0")), length
+        codes = np.where(_COLUMN < length, codes, ord("0"))
+        yield (lines, *_group_ids(users), raw.__getitem__, codes, length)
 
 
 def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row_errors: list):
@@ -206,14 +261,17 @@ def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row
     ``base + count`` in ``text``, split whole; None unless every line is a
     row of ``len(header)`` fields that ``csv.reader`` splits at its commas.
 
-    The caller has ruled out quotes and carriage returns.
+    The caller has ruled out quotes and carriage returns.  Only the distinct
+    user ids, the rows without both fields and the timestamps that ``raw``
+    is asked for become Python strings.
     """
     if "\0" in text:  # refused by csv.reader before Python 3.11
         return None
     if not text.endswith("\n"):  # the last line of a log without a final newline
         text += "\n"
     width = len(header)
-    codes = np.frombuffer((text + "0").encode("utf-32-le"), np.uint32)  # ends in the padding
+    # padding for the windows of _columns, _ID_WIDTH >= _WIDTH code points
+    codes = np.frombuffer((text + "0" * _ID_WIDTH).encode("utf-32-le"), np.uint32)
     sep = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
     if sep.size != count * width:
         return None
@@ -227,18 +285,22 @@ def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row
         first = sep[k - 1 :: width] + 1 if k else np.concatenate(([0], ends[:-1] + 1))
         return first, sep[k::width] - first
 
-    fields = text.replace("\n", ",").split(",")
-    users, raw = fields[iu:-1:width], fields[it:-1:width]
-    rows = range(base + 1, base + count + 1)
-    first, length = field(it)
-    missing = (field(iu)[1] == 0) | (length == 0)
+    lines = range(base + 1, base + count + 1)
+    (user_first, user_length), (first, length) = field(iu), field(it)
+    missing = (user_length == 0) | (length == 0)
     if missing.any():
-        rows = list(rows)
-        for j in reversed(np.flatnonzero(missing).tolist()):
-            row_errors.append((rows[j], _missing(header, fields[j * width : (j + 1) * width])))
-            del rows[j], users[j], raw[j]
-        first, length = first[~missing], length[~missing]
-    return rows, users, raw, codes[np.where(_COLUMN < length, first + _COLUMN, -1)], length
+        starts = field(0)[0]
+        for j in np.flatnonzero(missing).tolist():
+            row_errors.append((lines[j], _missing(header, text[starts[j] : ends[j]].split(","))))
+        kept = ~missing
+        lines = np.flatnonzero(kept) + base + 1
+        user_first, user_length, first, length = (a[kept] for a in (user_first, user_length, first, length))
+    ids, user = _group_split(text, codes, user_first, user_length)
+
+    def raw(j):
+        return text[first[j] : first[j] + length[j]]
+
+    return lines, ids, user, raw, _columns(codes, first, length, _WIDTH, ord("0")), length
 
 
 def _csv_blocks(path: Path, row_errors: list):
@@ -307,18 +369,21 @@ def ingest(
         blocks = _string_blocks(_jsonl_rows(Path(path), row_errors))
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
-    for lines, users, raw, codes, length in blocks:
+    for lines, ids, user, raw, codes, length in blocks:
         ts = _bulk_timestamps(codes, length) + tz_offset
         for j in np.flatnonzero(~(ts >= 0)).tolist():  # not a bulk form, or negative
+            text = raw(j)
             try:
-                ts[j] = real("timestamp", _parse_timestamp(raw[j]) + tz_offset, 0.0)
+                ts[j] = real("timestamp", _parse_timestamp(text) + tz_offset, 0.0)
             except (ValueError, TypeError) as exc:
-                row_errors.append((lines[j], f"bad timestamp {raw[j]!r}: {exc}"))
+                row_errors.append((int(lines[j]), f"bad timestamp {text!r}: {exc}"))
                 ts[j] = np.nan
         good = ts >= 0
-        kept = users if good.all() else list(compress(users, good.tolist()))
-        user = np.fromiter(map(index.__getitem__, kept), np.int64, len(kept))
-        binned = np.bincount(user * n + scheme.slot_of(ts[good]) - 1)
+        user = user[good]
+        seen = np.flatnonzero(np.bincount(user, minlength=len(ids)))  # ids with a kept row
+        rows = np.zeros(len(ids), np.int64)
+        rows[seen] = [index[ids[g]] for g in seen.tolist()]
+        binned = np.bincount(rows[user] * n + scheme.slot_of(ts[good]) - 1)
         if len(index) * n > counts.size:  # new users: zero-filled rows, no view of counts exists
             counts.resize(len(index) * n, refcheck=False)
         counts[: binned.size] += binned

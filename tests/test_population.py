@@ -1,3 +1,4 @@
+import calendar
 import codecs
 import csv
 import json
@@ -9,7 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from contextlib import contextmanager
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -629,10 +630,12 @@ class TestIngestMatchesScalarReference:
         elif variant == "no final newline":
             path.write_text(text[:-1], "utf-8")
         with mock.patch.object(population, "_csv_rows", wraps=population._csv_rows) as rows, \
-                mock.patch.object(population, "_parse_timestamp", wraps=_parse_timestamp) as parse:
+                mock.patch.object(population, "_parse_timestamp", wraps=_parse_timestamp) as parse, \
+                mock.patch.object(population, "_group_ids", wraps=population._group_ids) as exact:
             got = observed(ingest, path)
         rows.assert_not_called()
         parse.assert_not_called()  # every timestamp is in a bulk form
+        exact.assert_not_called()  # every block's ids are grouped by their hash
         assert_same(got, observed(ref_ingest, path))
 
     @pytest.mark.parametrize("fault", ['u1,"60"', "u1,60\r", "", "u1,60,x", "u1\0,60", "9" * 40])
@@ -681,6 +684,113 @@ class TestIngestMatchesScalarReference:
         users = [f"u{k}" for k in rng.integers(0, 50, rows)]
         path = write_csv(tmp_path / "log.csv", zip(users, stamps))
         assert_same(observed(ingest, path, min_count=20), observed(ref_ingest, path, min_count=20))
+
+
+def grouping(path, **kwargs):
+    """``observed(ingest, path)``, and whether any block grouped its ids
+    exactly rather than by hash."""
+    with mock.patch.object(population, "_group_ids", wraps=population._group_ids) as exact:
+        got = observed(ingest, path, **kwargs)
+    return got, exact.called
+
+
+#: Ids that share a prefix, differ in a trailing space, or lie outside the BMP.
+TRICKY_IDS = ["u1", "u10", "u1 ", "u", "1u", "ü", "用户", "\U0001d518", "u\U0001f600", "\U0001f600u"]
+
+
+class TestGroupedIds:
+    def test_tricky_ids_are_grouped_by_hash(self, tmp_path):
+        rows = [(TRICKY_IDS[k % len(TRICKY_IDS)], 3600 * (k % 24) + 60) for k in range(300)]
+        path = write_csv(tmp_path / "log.csv", rows)
+        got, exact = grouping(path)
+        assert not exact
+        assert_same(got, observed(ref_ingest, path))
+        assert sorted(got[0]) == sorted(TRICKY_IDS)
+        assert {p.count for p in got[0].values()} == {30}
+
+    def test_forced_collision_regroups_exactly(self, tmp_path):
+        rows = [(TRICKY_IDS[k % len(TRICKY_IDS)], 3600 * (k % 5) + 60) for k in range(300)]
+        path = write_csv(tmp_path / "log.csv", rows)
+        zeros = np.zeros_like(population._ID_WEIGHTS)  # every id hashes to 0
+        for chunk in (7, population._CHUNK_ROWS):
+            with mock.patch.multiple(population, _ID_WEIGHTS=zeros, _CHUNK_ROWS=chunk):
+                got, exact = grouping(path)
+            assert exact
+            assert_same(got, observed(ref_ingest, path))
+
+    # the longest ids: a line of one split block holds at most the csv field
+    # size limit, and ",60" follows the id
+    @pytest.mark.parametrize("size", [
+        population._ID_WIDTH, population._ID_WIDTH + 1,
+        csv.field_size_limit() - 3, csv.field_size_limit(),
+    ])
+    def test_long_ids(self, tmp_path, size):
+        long_id = "ü" * (size - 1) + "x"
+        rows = [(f"u{k % 50}", 3600 * (k % 7)) for k in range(4000)]
+        rows[10:4000:1000] = [(long_id, 60), (long_id[:-1] + "y", 60), (long_id, 3660), ("u1", 60)]
+        path = write_csv(tmp_path / "log.csv", rows)
+        want = observed(ref_ingest, path)
+        tracemalloc.start()
+        try:
+            got, exact = grouping(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same(got, want)
+        assert exact == (size > population._ID_WIDTH)
+        assert got[0][long_id].count == 2
+        # measured 2.2-4.1 MB; ids padded to the longest would take 4,000
+        # rows x 131,072 code points x 4 B, over 2 GB
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("fmt", ["csv", "quoted csv", "jsonl"])
+    @pytest.mark.parametrize("min_count", [0, 1])
+    def test_user_only_on_refused_rows_is_not_registered(self, tmp_path, fmt, min_count):
+        rows = [("u1", "60"), ("ghost", "not-a-time"), ("u1", "3660"), ("ghost", "-3600"),
+                ("ghost", "2023-02-30T10:00:00Z"), ("u10", "7200")]
+        path = tmp_path / "log.jsonl"
+        if fmt == "jsonl":
+            path.write_text("".join(
+                json.dumps({"user_id": user, "timestamp_utc": ts}) + "\n" for user, ts in rows
+            ))
+        else:
+            path = write_csv(tmp_path / "log.csv", rows)
+            if fmt == "quoted csv":  # csv.reader from the first row on
+                path.write_text(path.read_text().replace("u1,60", '"u1",60'))
+        kwargs = dict(format="jsonl" if fmt == "jsonl" else "csv", min_count=min_count)
+        got = observed(ingest, path, **kwargs)
+        assert_same(got, observed(ref_ingest, path, **kwargs))
+        assert list(got[0]) == ["u1", "u10"]
+        messages = [message for _, message, _, _ in got[1]]
+        assert len(messages) == 3 and not any("excluding" in m for m in messages)
+
+
+class TestCalendarTables:
+    def test_year_tables_match_the_calendar(self):
+        years = range(1, 10_000)
+        assert population._YEAR_START[1:].tolist() == [
+            date(y, 1, 1).toordinal() - 719_163 for y in years
+        ]
+        assert population._LEAP[1:].tolist() == [calendar.isleap(y) for y in years]
+
+    def test_end_of_february(self):
+        texts = [
+            f"{y:04d}-{month}T12:34:56Z"
+            for y in (1, 4, 100, 400, 1900, 2000, 2023, 9999)
+            for month in ("02-28", "02-29", "03-01")
+        ]
+        block = [(k, "u", text) for k, text in enumerate(texts)]
+        *_, codes, length = next(population._string_blocks(iter(block)))
+        got = population._bulk_timestamps(codes, length).tolist()
+        for text, value in zip(texts, got):
+            y = int(text[:4])
+            if text[5:10] == "02-29" and not calendar.isleap(y):
+                assert math.isnan(value), text
+                with pytest.raises(ValueError, match="day is out of range for month"):
+                    _parse_timestamp(text)
+            else:
+                assert value == _parse_timestamp(text), text
+        assert sum(map(math.isnan, got)) == 5  # years 1, 100, 1900, 2023 and 9999
 
 
 class TestSlotOfMatchesScalarReference:
