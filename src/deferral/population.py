@@ -159,10 +159,11 @@ _FIELD_WEIGHTS = np.array(
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
 #: Days in the year before the first of month 0 (unused) to 13.
 _MONTH_START = np.cumsum([0, 0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-#: Whether year 0 (unused) to 9999 is a leap year, and the days from
+#: Whether year 0 (unused) to 9999 is a leap year: every fourth, except
+#: every hundredth, except every four hundredth; and the days from
 #: 1970-01-01 to its January 1.
-_YEAR = np.arange(10_000)
-_LEAP = (_YEAR % 4 == 0) & ((_YEAR % 100 != 0) | (_YEAR % 400 == 0))
+_LEAP = np.zeros(10_000, bool)
+_LEAP[::4], _LEAP[::100], _LEAP[::400] = True, False, True
 _YEAR_START = np.cumsum(365 + _LEAP) - (365 + _LEAP) - 366 - 719_162
 
 
@@ -208,7 +209,8 @@ def _group_ids(users):
 #: Ids of at most this many code points are grouped by a hash of them.
 _ID_WIDTH = 64
 #: The hash's weights of an id's code points by their position: odd 64-bit
-#: integers, fixed so that grouping costs the same in every run.
+#: integers (the hash wraps modulo 2**64), fixed so that grouping costs the
+#: same in every run.
 _ID_WEIGHTS = np.frombuffer(random.Random(0).randbytes(8 * _ID_WIDTH), np.uint64) | np.uint64(1)
 
 
@@ -238,7 +240,8 @@ def _group_split(text: str, codes: np.ndarray, first: np.ndarray, length: np.nda
         head = np.empty(hashes.size, np.intp)  # of each group, one of its rows
         head[group] = np.arange(group.size)
         if (chars[:, head[group]] == chars).all():
-            return [text[a : a + k] for a, k in zip(first[head].tolist(), length[head].tolist())], group
+            spans = zip(first[head].tolist(), length[head].tolist())
+            return [text[a : a + k] for a, k in spans], group
     return _group_ids([text[a : a + k] for a, k in zip(first.tolist(), length.tolist())])
 
 
@@ -294,7 +297,8 @@ def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row
             row_errors.append((lines[j], _missing(header, text[starts[j] : ends[j]].split(","))))
         kept = ~missing
         lines = np.flatnonzero(kept) + base + 1
-        user_first, user_length, first, length = (a[kept] for a in (user_first, user_length, first, length))
+        columns = (user_first, user_length, first, length)
+        user_first, user_length, first, length = (a[kept] for a in columns)
     ids, user = _group_split(text, codes, user_first, user_length)
 
     def raw(j):
@@ -372,18 +376,18 @@ def ingest(
     for lines, ids, user, raw, codes, length in blocks:
         ts = _bulk_timestamps(codes, length) + tz_offset
         for j in np.flatnonzero(~(ts >= 0)).tolist():  # not a bulk form, or negative
-            text = raw(j)
+            stamp = raw(j)
             try:
-                ts[j] = real("timestamp", _parse_timestamp(text) + tz_offset, 0.0)
+                ts[j] = real("timestamp", _parse_timestamp(stamp) + tz_offset, 0.0)
             except (ValueError, TypeError) as exc:
-                row_errors.append((int(lines[j]), f"bad timestamp {text!r}: {exc}"))
+                row_errors.append((int(lines[j]), f"bad timestamp {stamp!r}: {exc}"))
                 ts[j] = np.nan
         good = ts >= 0
         user = user[good]
         seen = np.flatnonzero(np.bincount(user, minlength=len(ids)))  # ids with a kept row
-        rows = np.zeros(len(ids), np.int64)
-        rows[seen] = [index[ids[g]] for g in seen.tolist()]
-        binned = np.bincount(rows[user] * n + scheme.slot_of(ts[good]) - 1)
+        row_of = np.zeros(len(ids), np.int64)  # each id's row of counts
+        row_of[seen] = [index[ids[g]] for g in seen.tolist()]
+        binned = np.bincount(row_of[user] * n + scheme.slot_of(ts[good]) - 1)
         if len(index) * n > counts.size:  # new users: zero-filled rows, no view of counts exists
             counts.resize(len(index) * n, refcheck=False)
         counts[: binned.size] += binned
