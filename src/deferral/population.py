@@ -247,16 +247,17 @@ def _group_split(text: str, codes: np.ndarray, first: np.ndarray, length: np.nda
 
 def _string_blocks(rows):
     """``(lines, ids, user, raw, codes, lengths)`` of each block of
-    ``_CHUNK_ROWS`` rows from ``_csv_rows`` or ``_jsonl_rows``: ``ids`` and
-    ``user`` as ``_group_ids`` gives them, ``raw(j)`` the raw timestamp of
-    row ``j``, and the timestamps as :func:`_bulk_timestamps` takes them."""
+    ``_CHUNK_ROWS`` rows from ``_csv_rows`` or ``_jsonl_rows``: the rows'
+    line numbers as an int64 array, ``ids`` and ``user`` as ``_group_ids``
+    gives them, ``raw(j)`` the raw timestamp of row ``j``, and the
+    timestamps as :func:`_bulk_timestamps` takes them."""
     while block := list(islice(rows, _CHUNK_ROWS)):
         lines, users, raw = zip(*block)
         text = [s if type(s) is str else str(s) if type(s) is int else "" for s in raw]
         length = np.fromiter(map(len, text), np.int64, len(text))
         codes = np.array(text, dtype=f"U{_WIDTH}").view(np.uint32).reshape(-1, _WIDTH).T
         codes = np.where(_COLUMN < length, codes, ord("0"))
-        yield (lines, *_group_ids(users), raw.__getitem__, codes, length)
+        yield (np.array(lines, np.int64), *_group_ids(users), raw.__getitem__, codes, length)
 
 
 def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row_errors: list):
@@ -288,7 +289,7 @@ def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row
         first = sep[k - 1 :: width] + 1 if k else np.concatenate(([0], ends[:-1] + 1))
         return first, sep[k::width] - first
 
-    lines = range(base + 1, base + count + 1)
+    lines = np.arange(base + 1, base + count + 1, dtype=np.int64)
     (user_first, user_length), (first, length) = field(iu), field(it)
     missing = (user_length == 0) | (length == 0)
     if missing.any():
@@ -296,7 +297,7 @@ def _split_block(text: str, count: int, header, iu: int, it: int, base: int, row
         for j in np.flatnonzero(missing).tolist():
             row_errors.append((lines[j], _missing(header, text[starts[j] : ends[j]].split(","))))
         kept = ~missing
-        lines = np.flatnonzero(kept) + base + 1
+        lines = lines[kept]
         columns = (user_first, user_length, first, length)
         user_first, user_length, first, length = (a[kept] for a in columns)
     ids, user = _group_split(text, codes, user_first, user_length)
@@ -380,7 +381,7 @@ def ingest(
             try:
                 ts[j] = real("timestamp", _parse_timestamp(stamp) + tz_offset, 0.0)
             except (ValueError, TypeError) as exc:
-                row_errors.append((int(lines[j]), f"bad timestamp {stamp!r}: {exc}"))
+                row_errors.append((lines[j], f"bad timestamp {stamp!r}: {exc}"))
                 ts[j] = np.nan
         good = ts >= 0
         user = user[good]

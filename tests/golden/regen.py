@@ -25,6 +25,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -60,14 +61,17 @@ STUDY_TABLES = ("phicrit_hist.csv", "gain_percentiles.csv", "delay_pmf.csv",
 def write(out_dir, main) -> None:
     """Run every command through the CLI entry point ``main`` into ``out_dir``."""
     out_dir = Path(out_dir)
-    runs = [(name, [*args, "--out", str(out_dir / name)]) for name, args in COMMANDS.items()]
-    runs += [(name, [*args, "--out-dir", str(out_dir / name)]) for name, args in STUDIES.items()]
+    runs = [(name, [*args, "--out", str(out_dir / name)], False)
+            for name, args in COMMANDS.items()]
+    runs += [(name, [*args, "--out-dir", str(out_dir / name)], True)
+             for name, args in STUDIES.items()]
     here = json.dumps(f"{HERE}{os.sep}")[1:-1]  # as it appears inside a JSON string
-    for name, args in runs:
+    for name, args, study in runs:
         stderr = io.StringIO()
-        # a study's row warnings are not among its outputs
         with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            if study:  # its row warnings and exclusions are not among its outputs
+                warnings.filterwarnings("ignore", message=re.escape(f"{LOG}:"))
+                warnings.filterwarnings("ignore", message="excluding user ")
             code = main(args)
         if code:
             raise SystemExit(f"{name}: deferral exited with {code}")
