@@ -6,7 +6,8 @@ writes for one entry of ``COMMANDS`` or ``STUDIES``, from the checked-in
 inputs ``INPUTS``:
 
 - ``profile.json``, a 24-slot Dirichlet(1) profile (critical rate 0.3445),
-  for the seeded ``simulate`` runs;
+  for ``strategy solve``, ``curve``, ``buffer analyze`` and the seeded
+  ``simulate`` runs;
 - ``log.csv``, a timestamp log of epoch and ISO-8601 times with each kind
   of malformed row the ``log-ingest`` benchmark writes, a non-ASCII user
   id, the ids ``u1`` and ``u10``, a user below ``--min-count`` and one seen
@@ -45,6 +46,12 @@ COMMANDS = {
     "simulate_fifo.json": [*_SIM, "--discipline", "fifo"],
     "simulate_lifo.json": [*_SIM, "--discipline", "lifo"],
     "profile_build.json": ["profile", "build", "--input", USER],
+    "strategy_solve.json": ["strategy", "solve", "--profile", PROFILE, "--phi", "0.2"],
+    # past the critical rate: clamped to it
+    "strategy_solve_clamped.json": ["strategy", "solve", "--profile", PROFILE, "--phi", "0.5"],
+    "curve.csv": ["curve", "--profile", PROFILE, "--phi-grid", "0:0.4:9"],
+    "buffer_analyze.json": ["buffer", "analyze", "--profile", PROFILE, "--phi", "0.3",
+                            "--alpha", "10000"],
 }
 
 #: output directory -> the ``deferral`` arguments that write its tables,
@@ -52,6 +59,11 @@ COMMANDS = {
 STUDIES = {
     "study_log": ["population", "study", "--input", LOG, "--min-count", "3",
                   "--phi-grid", "0.1:0.6:6"],
+    "study_synth_day": ["population", "study", "--synth", "40", "--phi-grid", "0.05:0.7:14",
+                        "--seed", "5"],
+    "study_synth_week": ["population", "study", "--synth", "30", "--slots", "168",
+                         "--period", "week", "--concentration", "0.1",
+                         "--phi-grid", "0.1:0.7:4", "--seed", "9"],
 }
 #: the tables ``population study`` writes into its ``--out-dir``
 STUDY_TABLES = ("phicrit_hist.csv", "gain_percentiles.csv", "delay_pmf.csv",
