@@ -21,18 +21,18 @@ current cycle, and a cycle that ends with messages still held raises
 ``AssertionError``.
 
 Random numbers: one ``multinomial`` (arrivals) and one ``binomial`` (storing)
-call per cycle, and one multivariate hypergeometric draw per
-``uniform_random`` partial release from two or more arrival slots.  A draw
-from at most ``_SCALAR_GROUPS`` slots is numpy's own "marginals" algorithm
-written out as a chain of scalar ``hypergeometric`` calls, which costs less
-than the fixed overhead of one ``multivariate_hypergeometric`` call, and is
-applied to the buffer as it is drawn, one pass over the slots per release;
-wider draws make that call.  Both run the same sampler with the same arguments
-in the same order, so they draw the same counts from the same random numbers
-and seeded outputs do not depend on which one a release takes.  A release of
-the whole buffer empties every slot and draws nothing, under every
-discipline; one from a single arrival slot is forced too, and the ``fifo``
-walk takes it.  Neither consumes random numbers (nor would numpy's draw).
+call per cycle.  A release takes one of three paths: ``fifo`` and ``lifo``
+walk the buffer from the oldest or the newest arrival slot; a
+``uniform_random`` partial release from more than ``_SCALAR_GROUPS`` arrival
+slots makes one ``multivariate_hypergeometric`` call; every other
+``uniform_random`` release is ``_draw_release``, numpy's own "marginals"
+algorithm written out as a chain of scalar ``hypergeometric`` calls, which
+costs less on a few slots and takes a drain or a one-slot release without
+drawing, as numpy's draw would.  The chain and the call run the same sampler
+with the same arguments in the same order, so they draw the same counts from
+the same random numbers and seeded outputs do not depend on which one a
+release takes.  Each path takes its counts from the buffer and adds them to
+the delay histogram as it goes.
 As every cycle drains, a cycle's delay sum is
 ``sum_j j*released_j - sum_i i*stored_i`` and its delayed count
 ``sum(stored)``; the occupancy after a slot is the running buffer level,
@@ -242,37 +242,33 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                     residue = acc[j] + level * h
                     take = int(residue)  # <= level: the residue stays in [0, 1) between slots
                     acc[j] = residue - take
-                if take == level:
-                    # the whole buffer, under every discipline: nothing to draw
-                    for i in live:
-                        hist[j - 1 - i] += held[i]
-                        held[i] = 0
-                    live = []
-                elif take:
-                    if uniform and 1 < len(live) <= _SCALAR_GROUPS:
-                        emptied = _draw_release(hypergeometric, held, live, level, take, hist, j)
-                    else:
-                        if uniform and len(live) > 1:
-                            # an array: numpy converts a list argument slowly
-                            drawn = rng.multivariate_hypergeometric(
-                                np.array([held[i] for i in live], dtype=np.int64), take
-                            ).tolist()
-                            taken = zip(live, drawn)
-                        else:
-                            taken, left = [], take
-                            for i in reversed(live) if lifo else live:
-                                k = min(held[i], left)
-                                taken.append((i, k))
-                                left -= k
-                                if not left:
-                                    break
-                        emptied = False
-                        for i, k in taken:
+                if take:
+                    emptied = False
+                    if not uniform:
+                        # the oldest messages first (fifo) or the newest (lifo)
+                        left = take
+                        for i in reversed(live) if lifo else live:
+                            k = min(held[i], left)
+                            held[i] -= k
+                            hist[j - 1 - i] += k
+                            if not held[i]:
+                                emptied = True
+                            left -= k
+                            if not left:
+                                break
+                    elif take < level and len(live) > _SCALAR_GROUPS:
+                        # an array: numpy converts a list argument slowly
+                        drawn = rng.multivariate_hypergeometric(
+                            np.array([held[i] for i in live], dtype=np.int64), take
+                        ).tolist()
+                        for i, k in zip(live, drawn):
                             if k:
                                 held[i] -= k
                                 hist[j - 1 - i] += k
                                 if not held[i]:
                                     emptied = True
+                    else:
+                        emptied = _draw_release(hypergeometric, held, live, level, take, hist, j)
                     if emptied:
                         live = [i for i in live if held[i]]
                 level -= take
@@ -379,24 +375,30 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
     """Run a simulation and compare it with the closed-form analysis.
 
     Only defined for the uniformly-random extraction discipline, the one the
-    delay analysis covers.
+    delay analysis covers, and for at least two measured cycles, the fewest
+    that give the standard errors.
     """
     if cfg.discipline != "uniform_random":
         raise ValueError(
             "analytic comparison requires the uniform_random discipline, "
             f"got {cfg.discipline!r}"
         )
+    m = cfg.cycles - cfg.warmup_cycles
+    if m < 2:
+        raise ValueError(
+            "analytic comparison needs at least 2 measured cycles, got cycles "
+            f"{cfg.cycles} with warmup_cycles {cfg.warmup_cycles}"
+        )
     _, cap, dist = analyze_buffer(cfg.strategy, cfg.alpha)
     report = run_simulation(cfg)
-    m = report.measured_cycles
 
     frac = report.delayed_fraction
     cycle_fracs = report.per_cycle_delayed / cfg.alpha
-    frac_se = float(cycle_fracs.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    frac_se = float(cycle_fracs.std(ddof=1) / np.sqrt(m))
 
     # ratio-estimator SE for the conditional delay from per-cycle batches
     mean_cond = report.mean_conditional_delay
-    if report.delayed_count and m > 1:
+    if report.delayed_count:
         resid = report.per_cycle_delay_sum - mean_cond * report.per_cycle_delayed
         denom = report.per_cycle_delayed.mean()
         cond_se = float(

@@ -36,7 +36,8 @@ INPUTS = ("regen.py", "profile.json", "log.csv", "user.csv")
 PROFILE, LOG, USER = (str(HERE / name) for name in INPUTS[1:])
 
 # alpha = 10,000 at 87% of the critical rate: partial releases drawn by the
-# scalar chain and by multivariate_hypergeometric, and a drain every cycle
+# scalar chain and by multivariate_hypergeometric, and a drain every cycle,
+# which the chain takes without drawing
 _SIM = ["simulate", "--profile", PROFILE, "--phi", "0.3", "--alpha", "10000",
         "--cycles", "30", "--seed", "7"]
 

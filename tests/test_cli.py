@@ -277,6 +277,18 @@ class TestSimulate:
         assert cmp_data["flags"] == []
         assert cmp_data["analytic"]["capacity_messages"] > 0
 
+    def test_compare_refuses_one_measured_cycle(self, tmp_path, capsys):
+        prof_path = save_profile(tmp_path, [1.0, 0.0, 0.0, 0.0], count=100.0)
+        out = tmp_path / "cmp.json"
+        assert main(["simulate", "--profile", prof_path, "--phi", "0.9", "--alpha", "100",
+                     "--cycles", "3", "--compare", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "analytic comparison needs at least 2 measured cycles, "
+                     "got cycles 3 with warmup_cycles 2",
+            "type": "ValueError",
+        }
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, tmp_path):
         prof_path = save_profile(tmp_path, [0.5, 0.3, 0.2])
         outs = []

@@ -279,6 +279,18 @@ class TestEmpiricalVsAnalytic:
         with pytest.raises(ValueError, match="uniform_random"):
             empirical_vs_analytic(single_flow_cfg(discipline="fifo"))
 
+    @pytest.mark.parametrize("cycles, warmup", [(3, 2), (1, 0), (4, 3)])
+    def test_refuses_fewer_than_two_measured_cycles(self, cycles, warmup):
+        # one cycle gives no standard error: a zero one would flag sampling noise
+        prof = profile([1.0, 0.0, 0.0, 0.0], count=100.0)
+        cfg = SimConfig(profile=prof, strategy=solve_optimal(prof, 0.9), alpha=100,
+                        cycles=cycles, warmup_cycles=warmup)
+        message = (r"^analytic comparison needs at least 2 measured cycles, "
+                   rf"got cycles {cycles} with warmup_cycles {warmup}$")
+        unrun = mock.patch.object(simulate, "run_simulation", side_effect=AssertionError("ran"))
+        with unrun, pytest.raises(ValueError, match=message):
+            empirical_vs_analytic(cfg)
+
     def test_matches_buffer_module(self):
         cfg = random_cfg(seed=55)
         rec = empirical_vs_analytic(cfg)
@@ -355,6 +367,23 @@ class TestRandomStream:
         assert hist[::-1] == want
         assert emptied == any(k and k == c for c, k in zip(counts, want))
         assert chain.bit_generator.state == numpy.bit_generator.state
+
+    # a drain, and partial releases from one arrival slot on either side of
+    # the complement rule: the chain takes them whole
+    @pytest.mark.parametrize(
+        "counts, take, want",
+        [([3, 0, 4, 5], 12, [3, 0, 4, 5])] + [([0, 7], k, [0, k]) for k in (1, 3, 4, 6, 7)],
+    )
+    def test_forced_releases_draw_nothing(self, counts, take, want):
+        def hypergeometric(*args):
+            raise AssertionError(f"drew {args}")
+
+        held, live, j = list(counts), [i for i, c in enumerate(counts) if c], len(counts)
+        hist = [0] * j
+        emptied = _draw_release(hypergeometric, held, live, sum(counts), take, hist, j)
+        assert held == [c - k for c, k in zip(counts, want)]
+        assert hist[::-1] == want
+        assert emptied is any(k and k == c for c, k in zip(counts, want))
 
 
 def _marginal_draw(hypergeometric, counts, total, take):
@@ -674,13 +703,15 @@ class TestScalarReference:
         "config, widest", [(AT_SCALAR_LIMIT, _SCALAR_GROUPS), (PAST_SCALAR_LIMIT, _SCALAR_GROUPS + 1)]
     )
     def test_pinned_runs_straddle_the_scalar_limit(self, config, widest):
-        # every draw down the scalar chain, to see how many groups each had;
-        # the width is read at the call, as the run appends to `live` later
+        # every partial draw down the scalar chain, to see how many groups each
+        # had (drains take it too); the width is read at the call, as the run
+        # appends to `live` later
         widths = []
 
-        def spy(hypergeometric, held, live, *rest):
-            widths.append(len(live))
-            return _draw_release(hypergeometric, held, live, *rest)
+        def spy(hypergeometric, held, live, total, take, *rest):
+            if take < total:
+                widths.append(len(live))
+            return _draw_release(hypergeometric, held, live, total, take, *rest)
 
         with mock.patch.object(simulate, "_SCALAR_GROUPS", 10**6), mock.patch.object(
             simulate, "_draw_release", spy
