@@ -144,7 +144,7 @@ class ActivityProfile:
         _validate_pmf(q)
         object.__setattr__(self, "count", real("message count", self.count, 0.0))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_critical_rate", float(0.5 * np.abs(1.0 / self.n - q).sum()))
+        object.__setattr__(self, "_critical_rate", float(_critical_rates(q)))
 
     @property
     def n(self) -> int:
@@ -193,6 +193,33 @@ def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
     raise ValueError(f"not a PMF: {name} sums to {float(p.sum())!r}")
 
 
+def _pmf_rows(P, name: str, row_name: str = "input") -> tuple[np.ndarray, np.ndarray]:
+    """``(P, minima)``: ``P`` as a float array, refused unless it is U x n with
+    a PMF in each row, and the minimum of each row.
+
+    All rows are checked at once (row sums and minima); ``_validate_pmf``
+    names the first row that fails, as ``row_name.format(i)`` for row ``i``.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"{name} must be a U x n array of PMF rows, got shape {P.shape}")
+    with np.errstate(all="ignore"):
+        low = P.min(axis=1, initial=np.inf)  # inf for an empty row, which fails the sum
+        off = np.abs(P.sum(axis=1) - 1.0)
+    if not (off.max(initial=0.0) <= PMF_ATOL and low.min(initial=0.0) >= 0):
+        for i, row in enumerate(P):
+            _validate_pmf(row, row_name.format(i))
+    return P, low
+
+
+def _critical_rates(Q) -> np.ndarray:
+    """The critical rate of each PMF along the last axis of ``Q``, its total
+    variation distance from uniform; summed over contiguous rows, so that a
+    row's rate is that of the row alone, bit for bit."""
+    Q = np.ascontiguousarray(Q)
+    return 0.5 * np.abs(1.0 / Q.shape[-1] - Q).sum(axis=-1)
+
+
 def uniform_pmf(n: int) -> np.ndarray:
     """The uniform PMF on ``n`` outcomes."""
     n = integer("n", n, 1)
@@ -211,22 +238,14 @@ def entropy(p) -> float:
 def entropy_rows(P) -> np.ndarray:
     """Shannon entropies in bits of the U rows of a U x n array of PMFs.
 
-    All rows are checked at once (row sums and minima); ``_validate_pmf``
-    names the first row that fails.  Rows without zeros are summed as one
+    All rows are checked at once by ``_pmf_rows``, which names the first row
+    that fails with the one-row message.  Rows without zeros are summed as one
     array, which numpy reduces row by row with the pairwise blocking of a
     1-d ``sum``, so each entropy is that of its row alone, bit for bit.
     Rows with zeros sum their positive entries one row at a time, as the
     zeros would shift that blocking.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2:
-        raise ValueError(f"entropy_rows needs a U x n array of PMFs, got shape {P.shape}")
-    with np.errstate(all="ignore"):
-        low = P.min(axis=1, initial=np.inf)  # inf for an empty row, which fails the sum
-        off = np.abs(P.sum(axis=1) - 1.0)
-    if not (off.max(initial=0.0) <= PMF_ATOL and low.min(initial=0.0) >= 0):
-        for row in P:
-            _validate_pmf(row)
+    P, low = _pmf_rows(P, "P")
     dense = low > 0
     bits = np.empty(P.shape[0])
     X = P[dense]

@@ -10,9 +10,13 @@ components of ``q`` are lowered to a common level ``theta_hi`` (that mass is
 stored), the smallest components are raised to a level ``theta_lo`` (that
 mass is forwarded), and intermediate components are untouched.  The
 solvers find both in two stages: :func:`_prefix`, a sort and prefix sums of
-the profile, memoized for the last profile solved, then :func:`_levels`, a
-scan at each rate, so they only scan when called for one profile in turn.
-:func:`waterfill` is their batched public form, over profiles and rates.
+the profile and the counts ``k = 1..n``, memoized for the last profile
+solved, then a scan at each rate, so they only scan when called for one
+profile in turn.  :func:`_levels` scans a grid of rates at once, for
+:func:`privacy_deferral_curve` and for :func:`waterfill`, the batched public
+form over profiles and rates.  :func:`solve_optimal` scans the two memoized
+rows of its profile at its one rate with the same arithmetic, and hands its
+``[s; r]`` to the strategy as one array, snapped once and kept.
 :func:`solve_numerical_oracle` solves the same program with a generic
 constrained optimizer that knows nothing about that structure, and exists
 to validate the closed form; :func:`solve_grid_oracle` does the same by
@@ -37,7 +41,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ._checks import finite_array, real
-from .profiles import ActivityProfile, critical_rate, entropy, entropy_rows
+from .profiles import (
+    ActivityProfile, _critical_rates, _pmf_rows, critical_rate, entropy, entropy_rows,
+)
 
 #: Strategy entries within this of zero are snapped to exactly 0; read in this module only.
 ZERO_ATOL = 1e-12
@@ -78,6 +84,7 @@ class DeferralStrategy:
     run only when one of those fails.  ``s`` and ``r`` of one shape are
     kept as the read-only rows of one snapped array, each entry exactly 0.0
     or above ``ZERO_ATOL``: the buffer and the simulator test exact zeros.
+    Snapping makes that array, so it never shares memory with the caller's.
     Strategies compare by identity; compare ``to_dict()`` for values.
     """
 
@@ -86,13 +93,19 @@ class DeferralStrategy:
     def __init__(self, s, r, phi: float, q_ref: ActivityProfile):
         phi = _check_phi(phi)
         s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
-        s, r = _snap((s, r)) if s.shape == r.shape else (_snap(s), _snap(r))
+        if s.shape != r.shape:  # feasibility_violation names the shapes
+            raise ValueError(f"infeasible strategy: {feasibility_violation(q_ref.q, s, r, phi)}")
+        self._keep(_snap((s, r)), phi, q_ref)
+
+    def _keep(self, sr: np.ndarray, phi: float, q_ref: ActivityProfile) -> None:
+        """Validate and keep ``sr``, a snapped ``[s; r]`` no caller holds."""
+        sr.setflags(write=False)  # first: the rows below are views, read-only too
+        s, r = sr
         violation = feasibility_violation(q_ref.q, s, r, phi)
         if violation:
             raise ValueError(f"infeasible strategy: {violation}")
         t = _apparent(q_ref.q, s, r)
-        for arr in (s, r, t):
-            arr.setflags(write=False)
+        t.setflags(write=False)
         self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, phi
         self._theta_hi, self._theta_lo, self._t = None, None, t
 
@@ -201,15 +214,16 @@ def _effective_rate(profile: ActivityProfile, phi: float) -> tuple[float, float]
     return requested, min(requested, critical_rate(profile))
 
 
-def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The per-profile stage of :func:`waterfill` for U x n ``Q``: the 2U rows
     ``[Q; -Q]``, the prefix sums ``c`` of each row sorted in descending order
-    ``v``, and the next value ``v_{k+1}`` of that order, ``-inf`` past the end."""
+    ``v``, the next value ``v_{k+1}`` of that order, ``-inf`` past the end,
+    and the counts ``k = 1..n``."""
     Q = np.asarray(Q, dtype=float)
     u = np.sort(Q, axis=1)
     v = np.concatenate([u[:, ::-1], -u])
     below = np.concatenate([v[:, 1:], np.full((v.shape[0], 1), -np.inf)], axis=1)
-    return np.concatenate([Q, -Q]), np.cumsum(v, axis=1), below
+    return np.concatenate([Q, -Q]), np.cumsum(v, axis=1), below, np.arange(1.0, Q.shape[1] + 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,32 +236,52 @@ def _levels(prefix, phi2) -> np.ndarray:
     """The per-rate stage of :func:`waterfill`: the top levels of the rows of a
     :func:`_prefix` at 2U x K rates, ``(c_k - phi) / k`` at the first k where
     it is ``>= v_{k+1}``."""
-    _, c, below = prefix
-    n = c.shape[1]
-    theta = (c[:, None, :] - np.asarray(phi2, dtype=float)[:, :, None]) / np.arange(1, n + 1)
+    _, c, below, k = prefix
+    theta = (c[:, None, :] - np.asarray(phi2, dtype=float)[:, :, None]) / k
     first = (theta >= below[:, None, :]).argmax(axis=2)
-    return theta.reshape(-1, n)[np.arange(first.size), first.ravel()].reshape(first.shape)
+    return theta.reshape(-1, k.size)[np.arange(first.size), first.ravel()].reshape(first.shape)
+
+
+#: The rows ``q`` and ``-q`` of one profile's :func:`_prefix`, as an index.
+_ROWS = np.arange(2)
 
 
 def waterfill(Q, phi) -> tuple[np.ndarray, np.ndarray]:
     """Water-filling levels ``(theta_lo, theta_hi)`` of U profiles at K rates.
 
     ``Q`` is U x n, one PMF per row, and ``phi`` U x K, each rate in
-    ``[0, critical rate of its row]`` (not validated).  Both levels are
-    U x K: ``sum(max(theta_lo - q, 0)) == sum(max(q - theta_hi, 0)) == phi``.
+    ``[0, critical rate of its row]``; both are checked, and the first bad
+    row or rate is named.  Both levels are U x K:
+    ``sum(max(theta_lo - q, 0)) == sum(max(q - theta_hi, 0)) == phi``.
     The top level of a row is that of :func:`_levels`; the bottom level is
     minus the top level of ``-q``, exactly in floating point, so one sort
     and one scan serve both.  :func:`_prefix` holds the work that does not
     depend on the rate, which :func:`_profile_prefix` keeps for one profile.
     """
-    phi = np.asarray(phi, dtype=float)
+    Q, _ = _pmf_rows(Q, "Q", "Q[{}]")
+    if not Q.shape[1]:
+        raise ValueError(f"Q must have at least one slot, got shape {Q.shape}")
+    phi = finite_array("phi", phi)
+    if phi.ndim != 2 or len(phi) != len(Q):
+        raise ValueError(f"phi must be a U x K array, one row per row of Q, got shape {phi.shape} "
+                         f"for Q of shape {Q.shape}")
+    crit = _critical_rates(Q)
+    bad = np.argwhere((phi < 0) | (phi > crit[:, None]))
+    if bad.size:
+        u, k = bad[0]
+        raise ValueError(
+            f"phi must lie in [0, {float(crit[u])!r}] in row {u}, the critical rate of Q[{u}], "
+            f"got {float(phi[u, k])!r} at phi[{u}, {k}]"
+        )
     level = _levels(_prefix(Q), np.concatenate([phi, phi]))
     return -level[len(phi):], level[:len(phi)]
 
 
-def _solved(profile, s, r, phi, requested, levels=(None, None)) -> DeferralStrategy:
-    """A solver's strategy, with the rate asked for and its ``(theta_lo, theta_hi)``."""
-    strategy = DeferralStrategy(s, r, phi, profile)
+def _solved(profile, sr, phi, requested, levels=(None, None)) -> DeferralStrategy:
+    """A solver's strategy from its ``[s; r]``, with the rate asked for and its
+    ``(theta_lo, theta_hi)``; ``phi`` is already checked."""
+    strategy = DeferralStrategy.__new__(DeferralStrategy)
+    strategy._keep(_snap(sr), phi, profile)
     strategy._requested_phi = requested
     strategy._theta_lo, strategy._theta_hi = levels
     return strategy
@@ -264,11 +298,13 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     the apparent profile is ``q`` clipped to ``[theta_lo, theta_hi]``.
     """
     requested, eff = _effective_rate(profile, phi)
-    prefix = _profile_prefix(profile)
-    level = _levels(prefix, [[eff], [eff]])
-    # [q; -q] minus [[theta_hi]; [-theta_lo]]: -q + theta_lo is exactly theta_lo - q
-    s, r = np.maximum(prefix[0] - level, 0.0)  # the constructor snaps them
-    return _solved(profile, s, r, eff, requested, (-float(level[1, 0]), float(level[0, 0])))
+    rows, c, below, k = _profile_prefix(profile)
+    # the scan of _levels on the two rows of one profile at one rate
+    theta = (c - eff) / k
+    level = theta[_ROWS, (theta >= below).argmax(axis=1)]
+    # [q; -q] minus [theta_hi; -theta_lo]: -q + theta_lo is exactly theta_lo - q
+    sr = np.maximum(rows - level[:, None], 0.0)  # _solved snaps it
+    return _solved(profile, sr, eff, requested, (-float(level[1]), float(level[0])))
 
 
 def _neg_entropy_and_grad(x: np.ndarray, q: np.ndarray):
@@ -301,7 +337,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     q = profile.q
     n = profile.n
     if eff == 0.0:
-        return _solved(profile, np.zeros(n), np.zeros(n), 0.0, requested)
+        return _solved(profile, np.zeros((2, n)), 0.0, requested)
 
     try:  # lazily: its import takes ~0.5 s and only the oracle uses it
         from scipy import optimize
@@ -363,7 +399,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     mass = r.sum()
     if mass > 0:
         r *= eff / mass
-    return _solved(profile, s, r, eff, requested)
+    return _solved(profile, (s, r), eff, requested)
 
 
 def _compositions(n: int, total: int) -> np.ndarray:

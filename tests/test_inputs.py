@@ -22,6 +22,7 @@ from deferral import (
     study,
     synth_population,
     uniform_pmf,
+    waterfill,
 )
 from deferral.cli import main
 from deferral.population import nearest_rank_percentile
@@ -76,6 +77,10 @@ PARAMETERS = [
     (lambda v: simulation(alpha=10**9 - 1, cycles=v, warmup_cycles=0), "alpha * (cycles - warmup_cycles)",
      [10**10], "SimConfig "),
     (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
+    (lambda v: waterfill(v, [[0.1]]), "Q", [[0.7, 0.3], 0.5, np.empty((0, 0)), np.ones((1, 2, 2))]),
+    # [0.7, 0.3] has critical rate 0.19999999999999998: 0.2 is past it
+    (lambda v: waterfill([[0.7, 0.3]], v), "phi",
+     [[[0.5]], [[0.2]], [[-0.1]], [[NAN]], [[INF]], [[True]], "0.1", [0.1], [[0.1], [0.1]], 0.1]),
 ]
 IDS = [f"{''.join(label)}{name}={bad!r}" for _, name, values, *label in PARAMETERS for bad in values]
 assert len(set(IDS)) == len(IDS), sorted({i for i in IDS if IDS.count(i) > 1})
@@ -90,6 +95,21 @@ def test_bad_value_refused_by_name(call, name, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value).startswith(f"{name} "), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "Q, message",
+    [
+        ([[0.5, 0.5], [2.0, -1.0]], "not a PMF: Q[1] has negative entries"),
+        ([[NAN, 1.0], [2.0, -1.0]], "not a PMF: Q[0] has non-finite entries"),
+        ([[0.5, 0.5], [0.5, 0.4]], "not a PMF: Q[1] sums to 0.9"),
+        (np.empty((2, 0)), "not a PMF: Q[0] must be a nonempty 1-d vector"),
+    ],
+)
+def test_waterfill_names_the_first_row_that_is_no_pmf(Q, message):
+    with pytest.raises(ValueError) as info:
+        waterfill(Q, np.zeros((len(Q), 1)))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

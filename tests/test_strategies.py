@@ -96,6 +96,27 @@ class TestDeferralStrategy:
         assert strat.s.base is strat.r.base is not None
         assert not (strat.s.flags.writeable or strat.r.flags.writeable)
 
+    @pytest.mark.parametrize("layout", ["rows of one array", "two arrays"])
+    def test_never_aliases_the_callers_arrays(self, layout):
+        both = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.1]])
+        s, r = both if layout == "rows of one array" else [row.copy() for row in both]
+        strat = DeferralStrategy(s=s, r=r, phi=0.1, q_ref=profile(THREE))
+        kept = [arr.copy() for arr in (strat.s, strat.r, strat.apparent())]
+        s[:], r[:] = 0.3, 0.4
+        assert s.flags.writeable and r.flags.writeable
+        for got, want in zip((strat.s, strat.r, strat.apparent()), kept):
+            assert_same_bits(got, want)
+            assert not (np.shares_memory(got, s) or np.shares_memory(got, r))
+
+    def test_solver_arrays_share_no_memory_with_the_memo(self):
+        prof = random_profiles(24, 1, seed=12)[0]
+        strat = solve_optimal(prof, 0.1)
+        for memo in strategies._profile_prefix(prof):
+            for arr in (strat.s, strat.r, strat.apparent()):
+                assert not np.shares_memory(arr, memo)
+        assert strat.s.base is strat.r.base is not None
+        assert not (strat.s.flags.writeable or strat.r.flags.writeable)
+
     def test_clamping_is_recorded_as_given(self):
         # only a solver records a request and levels: a hand-built strategy
         # was asked for its own rate, and clamps nothing
@@ -517,6 +538,16 @@ class TestWaterfillKernel:
         rng = np.random.default_rng(1440)
         assert_matches_reference([drawn_profile(kind, 1440, rng) for kind in PROFILE_KINDS], rng)
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 24, 129, 168, 1440])
+    def test_accepts_each_rows_critical_rate(self, n):
+        # the rate check sums contiguous rows, as a profile does: in another
+        # memory order the sum of a row may move by an ulp
+        profs = random_profiles(n, 6, seed=n)
+        Q, crit = np.array([p.q for p in profs]), [[critical_rate(p)] for p in profs]
+        for order in ("C", "F"):
+            theta_lo, theta_hi = waterfill(np.asarray(Q, order=order), crit)
+            assert np.allclose(theta_lo, 1 / n) and np.allclose(theta_hi, 1 / n)
+
     def test_solver_levels_are_the_kernel_levels(self):
         prof = random_profiles(24, 1, seed=9)[0]
         strat = solve_optimal(prof, 0.3)
@@ -557,7 +588,9 @@ def drawn_rows(kinds, n, rng):
 
 
 def assert_two_stages_match_one(profs, rng):
-    """Batched levels and every solver's levels are the one-stage scan's, bit for bit."""
+    """Batched levels, and every solver's levels, ``s``, ``r`` and apparent
+    profile, are those of the one-stage scan, bit for bit: ``[s; r]`` is
+    ``max([q; -q] - [theta_hi; -theta_lo], 0)``, snapped."""
     fractions = rng.uniform(0.0, 1.5, size=4).tolist() + [0.0, 1.0]
     phi = np.array([
         np.minimum(TINY_RATES + [f * critical_rate(p) for f in fractions], critical_rate(p))
@@ -572,6 +605,11 @@ def assert_two_stages_match_one(profs, rng):
             strat = solve_optimal(prof, rate)
             got = np.array([strat.theta_lo, strat.theta_hi])
             assert_same_bits(got, np.array([want_lo[u, k], want_hi[u, k]]))
+            level = np.array([[want_hi[u, k]], [-want_lo[u, k]]])
+            s, r = np.maximum(np.array([prof.q, -prof.q]) - level, 0.0)
+            want = ref_strategy(prof, s, r, rate)
+            for got, expected in zip((strat.s, strat.r, strat.apparent()), want):
+                assert_same_bits(got, expected)
 
 
 class TestTwoStageKernel:
