@@ -54,12 +54,6 @@ def _write_json(path, payload) -> None:
     _overwrite(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
 
 
-def _as_readonly_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SlotScheme:
     """Division of a cyclic period into ``n`` equal time slots.
@@ -135,13 +129,14 @@ class ActivityProfile:
     _critical_rate: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        q = _as_readonly_array(self.q)
+        q = np.array(self.q)  # a copy, made read-only below
         if q.ndim != 1 or q.shape[0] != self.scheme.n:
             raise ValueError(
                 f"profile has {q.shape[0] if q.ndim == 1 else q.shape} entries, "
                 f"scheme expects {self.scheme.n}"
             )
-        _validate_pmf(q)
+        q = _validate_pmf(q)
+        q.setflags(write=False)
         object.__setattr__(self, "count", real("message count", self.count, 0.0))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_critical_rate", float(_critical_rates(q)))
@@ -179,7 +174,10 @@ class ActivityProfile:
 
 
 def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
+    if p.dtype.kind not in "iuf":  # such as strings or bools, which a float cast would take
+        raise ValueError(f"not a PMF: {name} must hold numbers, got dtype {p.dtype}")
+    p = p.astype(float, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"not a PMF: {name} must be a nonempty 1-d vector")
     # Accept on two silent reductions (feasibility_violation accepts on five).
@@ -194,15 +192,18 @@ def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
 
 
 def _pmf_rows(P, name: str, row_name: str = "input") -> tuple[np.ndarray, np.ndarray]:
-    """``(P, minima)``: ``P`` as a float array, refused unless it is U x n with
-    a PMF in each row, and the minimum of each row.
+    """``(P, minima)``: ``P`` as a float array, refused unless it is a U x n
+    array of numbers with a PMF in each row, and the minimum of each row.
 
     All rows are checked at once (row sums and minima); ``_validate_pmf``
     names the first row that fails, as ``row_name.format(i)`` for row ``i``.
     """
-    P = np.asarray(P, dtype=float)
+    P = np.asarray(P)
     if P.ndim != 2:
         raise ValueError(f"{name} must be a U x n array of PMF rows, got shape {P.shape}")
+    if P.dtype.kind not in "iuf":  # such as strings or bools, which a float cast would take
+        raise ValueError(f"{name} must hold numbers, got dtype {P.dtype}")
+    P = P.astype(float, copy=False)
     with np.errstate(all="ignore"):
         low = P.min(axis=1, initial=np.inf)  # inf for an empty row, which fails the sum
         off = np.abs(P.sum(axis=1) - 1.0)
@@ -229,9 +230,9 @@ def uniform_pmf(n: int) -> np.ndarray:
 def entropy(p) -> float:
     """Shannon entropy of a PMF in bits, with the convention 0*log(0) = 0;
     the one-row case of :func:`entropy_rows`."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        _validate_pmf(p)  # raises, naming the shape
+    p = np.asarray(p)
+    if p.ndim != 1 or p.dtype.kind not in "iuf":
+        _validate_pmf(p)  # raises, naming the dtype or the shape
     return float(entropy_rows(p[None])[0])
 
 
@@ -243,7 +244,7 @@ def entropy_rows(P) -> np.ndarray:
     array, which numpy reduces row by row with the pairwise blocking of a
     1-d ``sum``, so each entropy is that of its row alone, bit for bit.
     Rows with zeros sum their positive entries one row at a time, as the
-    zeros would shift that blocking.
+    zeros would shift that blocking.  A point mass has entropy +0.0.
     """
     P, low = _pmf_rows(P, "P")
     dense = low > 0
@@ -253,7 +254,7 @@ def entropy_rows(P) -> np.ndarray:
     for i in np.flatnonzero(~dense):
         nz = P[i][P[i] > 0]
         bits[i] = -(nz * np.log2(nz)).sum()
-    return bits
+    return bits + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
 
 
 def kl_divergence(t, p) -> float:

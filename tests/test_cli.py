@@ -2,6 +2,7 @@ import argparse
 import codecs
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +170,14 @@ class TestStrategySolve:
         assert data["r"] == [0.0, 0.0, 0.0]
         assert data["entropy_bits"] == pytest.approx(1.4854752972273344)
         assert data["method"] == "water-filling"
+
+    def test_point_mass_has_positive_zero_entropy(self, tmp_path):
+        prof_path = save_profile(tmp_path, [0.0, 1.0, 0.0])
+        out = tmp_path / "strategy.json"
+        assert main(["strategy", "solve", "--profile", prof_path,
+                     "--phi", "0", "--out", str(out)]) == 0
+        assert '"entropy_bits": 0.0,' in out.read_text()
+        assert math.copysign(1.0, json.loads(out.read_text())["entropy_bits"]) == 1.0
 
     def test_oracle_flag(self, tmp_path):
         prof_path = save_profile(tmp_path, [0.5, 0.3, 0.2])

@@ -13,7 +13,10 @@ from deferral import (
     SimConfig,
     SlotScheme,
     TimestampRecord,
+    entropy,
+    entropy_rows,
     ingest,
+    kl_divergence,
     privacy_deferral_curve,
     relative_privacy_gain,
     solve_grid_oracle,
@@ -21,6 +24,7 @@ from deferral import (
     steady_state,
     study,
     synth_population,
+    total_variation,
     uniform_pmf,
     waterfill,
 )
@@ -77,7 +81,9 @@ PARAMETERS = [
     (lambda v: simulation(alpha=10**9 - 1, cycles=v, warmup_cycles=0), "alpha * (cycles - warmup_cycles)",
      [10**10], "SimConfig "),
     (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
-    (lambda v: waterfill(v, [[0.1]]), "Q", [[0.7, 0.3], 0.5, np.empty((0, 0)), np.ones((1, 2, 2))]),
+    (lambda v: waterfill(v, [[0.1]]), "Q",
+     [[0.7, 0.3], 0.5, np.empty((0, 0)), np.ones((1, 2, 2)), [["a", "b"]], [["0.5", "0.5"]], [[True, False]]]),
+    (entropy_rows, "P", [[0.5, 0.5], [["0.5", "0.5"]], [[True, False]], [[0.5, None]]]),
     # [0.7, 0.3] has critical rate 0.19999999999999998: 0.2 is past it
     (lambda v: waterfill([[0.7, 0.3]], v), "phi",
      [[[0.5]], [[0.2]], [[-0.1]], [[NAN]], [[INF]], [[True]], "0.1", [0.1], [[0.1], [0.1]], 0.1]),
@@ -110,6 +116,25 @@ def test_waterfill_names_the_first_row_that_is_no_pmf(Q, message):
     with pytest.raises(ValueError) as info:
         waterfill(Q, np.zeros((len(Q), 1)))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ActivityProfile(SlotScheme(2, 100.0), ["0.5", "0.5"]), "input must hold numbers, got dtype <U3"),
+        (lambda: ActivityProfile(SlotScheme(2, 100.0), [True, False]), "input must hold numbers, got dtype bool"),
+        (lambda: entropy(["0.5", "0.5"]), "input must hold numbers, got dtype <U3"),
+        (lambda: entropy([0.5, None, 0.5]), "input must hold numbers, got dtype object"),
+        (lambda: kl_divergence(["0.5", "0.5"], [0.5, 0.5]), "t must hold numbers, got dtype <U3"),
+        (lambda: kl_divergence([0.5, 0.5], [True, False]), "p must hold numbers, got dtype bool"),
+        (lambda: total_variation([0.5, 0.5], ["0.5", "0.5"]), "q must hold numbers, got dtype <U3"),
+    ],
+)
+def test_pmf_of_non_numbers_refused_by_name(call, message):
+    # a float cast would take numeric strings and bools as PMF entries
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"not a PMF: {message}"
 
 
 @pytest.mark.parametrize(

@@ -529,6 +529,16 @@ def block_logs(draw, scheme):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+#: (rows, characters) per block: rows per JSONL or ``csv.reader`` block and
+#: characters per CSV block read; small sizes cut blocks all through a log,
+#: and the defaults come last.
+BLOCK_SIZES = [(1, 1), (2, 3), (7, 16), (population._CHUNK_ROWS, population._BLOCK_CHARS)]
+
+
+def block_sizes(rows, chars):
+    return mock.patch.multiple(population, _CHUNK_ROWS=rows, _BLOCK_CHARS=chars)
+
+
 @contextmanager
 def field_size_limit(limit):
     """csv.field_size_limit lowered to ``limit`` (None: unchanged) for a while."""
@@ -569,8 +579,8 @@ class TestIngestMatchesScalarReference:
 
         kwargs = dict(format=fmt, scheme=scheme, min_count=min_count, tz_offset=tz_offset)
         want = observed(ref_ingest, path, **kwargs)
-        for chunk in (1, 2, 7, population._CHUNK_ROWS):
-            with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+        for rows, chars in BLOCK_SIZES:
+            with block_sizes(rows, chars):
                 assert_same(observed(ingest, path, **kwargs), want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -588,32 +598,39 @@ class TestIngestMatchesScalarReference:
         kwargs = dict(scheme=scheme, min_count=min_count, tz_offset=tz_offset)
         with field_size_limit(limit):
             want = observed(ref_ingest, path, **kwargs)
-            for chunk in (1, 2, 7, population._CHUNK_ROWS):
-                with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+            for rows, chars in BLOCK_SIZES:
+                with block_sizes(rows, chars):
                     assert_same(observed(ingest, path, **kwargs), want)
 
     def test_each_block_takes_its_path(self, tmp_path):
-        lines = [f"u{k % 3},{3600 * k + 60}" for k in range(20)]
-        lines[5] = ""  # block 2 of 4 lines: csv.reader on the block
+        # lines of 11 characters with their newline: a block of 44 holds 4
+        lines = [f"u{k % 3},{3600 * k + 1_000_060}" for k in range(20)]
+        lines[5] = ""  # block 2, cut after 4 lines: csv.reader on the block
         lines[13] = 'u1,"60"'  # block 4: csv.reader to the end of the log
         path = tmp_path / "log.csv"
         path.write_text("user_id,timestamp_utc\n" + "\n".join(lines) + "\n", encoding="utf-8")
-        split = []
+        split, read = [], []
 
         def split_block(*args, real=population._split_block):
             block = real(*args)
             split.append(block is not None)
             return block
 
-        rows = mock.Mock(wraps=population._csv_rows)
-        with mock.patch.multiple(population, _CHUNK_ROWS=4, _split_block=split_block, _csv_rows=rows):
+        def csv_rows(lines, *args, real=population._csv_rows):
+            lines = list(lines)
+            read.append((lines, args[3]))
+            return real(lines, *args)
+
+        with mock.patch.multiple(
+            population, _BLOCK_CHARS=44, _split_block=split_block, _csv_rows=csv_rows
+        ):
             got = observed(ingest, path)
         assert_same(got, observed(ref_ingest, path))
         assert split == [True, False, True]
-        block, tail = rows.call_args_list
-        assert block.args[0] == [line + "\n" for line in lines[4:8]]
-        assert block.args[4] == 5  # after the header and block 1
-        assert tail.args[4] == 13
+        assert read == [
+            ([line + "\n" for line in lines[4:8]], 5),  # after the header and block 1
+            ([line + "\n" for line in lines[12:]], 13),
+        ]
         assert sum(p.count for p in got[0].values()) == 19
 
     @pytest.mark.parametrize("variant", ["plain", "quoted header", "no final newline"])
@@ -671,19 +688,94 @@ class TestIngestMatchesScalarReference:
         for tz_offset in (0.0, -3600.0, 0.5, scheme.slot_duration, 1e11):
             kwargs = dict(format=fmt, scheme=scheme, tz_offset=tz_offset)
             want = observed(ref_ingest, path, **kwargs)
-            for chunk in (1, population._CHUNK_ROWS):
-                with mock.patch.object(population, "_CHUNK_ROWS", chunk):
+            for rows, chars in (BLOCK_SIZES[0], BLOCK_SIZES[-1]):  # the smallest and the defaults
+                with block_sizes(rows, chars):
                     assert_same(observed(ingest, path, **kwargs), want)
 
     @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
     def test_default_chunk_boundaries(self, tmp_path, rows):
+        # rows, not characters, make the blocks of JSONL logs and of csv.reader
         rng = np.random.default_rng(rows)
         stamps = rng.integers(0, 10**10, rows).astype(str).astype(object)
         stamps[rng.random(rows) < 0.3] = "2023-06-01T12:00:00Z"
         stamps[rng.random(rows) < 0.01] = "bogus"
         users = [f"u{k}" for k in rng.integers(0, 50, rows)]
         path = write_csv(tmp_path / "log.csv", zip(users, stamps))
-        assert_same(observed(ingest, path, min_count=20), observed(ref_ingest, path, min_count=20))
+        # csv.reader from the first row on
+        quoted = write_csv(tmp_path / "quoted.csv", zip([f'"{users[0]}"', *users[1:]], stamps))
+        jsonl = tmp_path / "log.jsonl"
+        jsonl.write_text("".join(
+            json.dumps({"user_id": user, "timestamp_utc": ts}) + "\n" for user, ts in zip(users, stamps)
+        ))
+        for log, fmt in ((path, "csv"), (quoted, "csv"), (jsonl, "jsonl")):
+            kwargs = dict(format=fmt, min_count=20)
+            assert_same(observed(ingest, log, **kwargs), observed(ref_ingest, log, **kwargs))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, population._BLOCK_CHARS + 1],
+                             ids=["chars-1", "chars", "chars+1", "2chars+1"])
+    def test_default_block_boundaries(self, tmp_path, extra):
+        # a log of _BLOCK_CHARS + extra characters after its header, rows of
+        # non-ASCII ids, the last one padded to that size
+        size = population._BLOCK_CHARS + extra
+        rng = np.random.default_rng(size)
+        lines = []
+        while size - sum(map(len, lines)) > 64:
+            ts = "2023-06-01T12:00:00Z" if rng.random() < 0.3 else str(rng.integers(0, 10**10))
+            lines.append(f"ü{rng.integers(0, 50)},{ts if rng.random() > 0.01 else 'bogus'}\n")
+        lines.append("ü" * (size - sum(map(len, lines)) - 4) + ",60\n")
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,timestamp_utc\n" + "".join(lines), encoding="utf-8")
+        split = mock.Mock(wraps=population._split_block)
+        with mock.patch.object(population, "_split_block", split):
+            got = observed(ingest, path, min_count=20)
+        assert_same(got, observed(ref_ingest, path, min_count=20))
+        assert split.call_count == 1 + (extra > 0) + (extra > population._BLOCK_CHARS)
+
+    #: Logs whose lines are cut by a block boundary at one block size or
+    #: another, each ingested at every block size up to its length.
+    BOUNDARY_LOGS = {
+        "long line": "user_id,timestamp_utc\nu1,60\n" + "ü" * 40 + ",3600\nu2,7200\n" + "u3," + "9" * 30 + "x\n",
+        "crlf": "user_id,timestamp_utc\r\nu1,60\r\nu2,3600\r\nbad\r\nu1,2023-06-01T05:00:00Z\r\n",
+        "bare cr": "user_id,timestamp_utc\nu1,60\nu2,3600\ru1,7200\n\ru2,x\rü,60\n",
+        "cr after clean lines": "user_id,timestamp_utc\nu1,60\nu2,3600\nu1,7200\nu2,10800\r\nu1,x\n",
+        "quoted field": 'user_id,timestamp_utc\nu1,60\n"two\nlines",3600\n"a,b",7200\nu1,"10\r\n800"\nu2,60\n',
+        "bom": "\ufeffuser_id,timestamp_utc\nü,60\n用户,3600\nü,bogus\n",
+        "no final newline": "user_id,timestamp_utc\nu1,60\nu2,3600\n\nu1,x\nu2,2023-06-01T05:00:00Z",
+    }
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_LOGS))
+    def test_lines_cut_by_a_block(self, tmp_path, name):
+        text = self.BOUNDARY_LOGS[name]
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = observed(ref_ingest, path)
+        assert want[1], "every log has a malformed row, so line numbers are checked"
+        for chars in range(1, len(text) + 1):
+            for rows in (1, population._CHUNK_ROWS):
+                with block_sizes(rows, chars):
+                    assert_same(observed(ingest, path), want)
+
+    @pytest.mark.parametrize("variant", ["clean", "quoted"])
+    def test_memory_stays_bounded(self, tmp_path, variant):
+        # a 3.9 MB log: both variants stream it, a block at a time
+        rng = np.random.default_rng(9)
+        rows = 200_000
+        stamps = rng.integers(0, 10**10, rows).astype(str).astype(object)
+        stamps[rng.random(rows) < 0.5] = "2023-06-01T12:00:00Z"
+        users = [f"u{k}" for k in rng.integers(0, 50, rows)]
+        if variant == "quoted":  # csv.reader from the first row on
+            users[0] = f'"{users[0]}"'
+        path = write_csv(tmp_path / "log.csv", zip(users, stamps))
+        tracemalloc.start()
+        try:
+            profiles = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.count for p in profiles.values()) == rows
+        # measured 2.5 (clean) and 3.4 MB reading 4,096 lines per block, 3.5
+        # and 3.8 MB reading 2**17 characters; the log as one string is 3.9 MB
+        assert peak < 6e6
 
 
 def grouping(path, **kwargs):
@@ -712,8 +804,8 @@ class TestGroupedIds:
         rows = [(TRICKY_IDS[k % len(TRICKY_IDS)], 3600 * (k % 5) + 60) for k in range(300)]
         path = write_csv(tmp_path / "log.csv", rows)
         zeros = np.zeros_like(population._ID_WEIGHTS)  # every id hashes to 0
-        for chunk in (7, population._CHUNK_ROWS):
-            with mock.patch.multiple(population, _ID_WEIGHTS=zeros, _CHUNK_ROWS=chunk):
+        for chars in (50, population._BLOCK_CHARS):
+            with mock.patch.multiple(population, _ID_WEIGHTS=zeros, _BLOCK_CHARS=chars):
                 got, exact = grouping(path)
             assert exact
             assert_same(got, observed(ref_ingest, path))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import threading
 
@@ -196,6 +197,11 @@ class TestEntropy:
         p[0] = 1.0
         assert entropy(p) == 0.0
 
+    @pytest.mark.parametrize("p", [[1.0], [1.0, 0.0], [0.0, 0.0, 1.0]])
+    def test_point_mass_is_positive_zero(self, p):
+        assert math.copysign(1.0, entropy(p)) == 1.0
+        assert [math.copysign(1.0, h) for h in entropy_rows([p, p]).tolist()] == [1.0, 1.0]
+
     def test_direct_evaluation(self):
         assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, abs=1e-12)
 
@@ -210,10 +216,11 @@ class TestEntropy:
 
 
 def ref_entropy(p) -> float:
-    """Entropy of one PMF at a time, as computed before the row kernel."""
+    """Entropy of one PMF at a time, as computed before the row kernel, and
+    +0.0 (not -0.0) for a point mass."""
     p = _validate_pmf(p)
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(-(nz * np.log2(nz)).sum()) or 0.0
 
 
 ROW_KINDS = ("dirichlet", "zeros", "one-hot", "uniform", "nan", "negative", "off-mass")
