@@ -40,13 +40,13 @@ print(f"{rep.total_count} messages over {rep.measured_cycles} measured cycles "
       f"(seed {rep.seed_echo}, {rep.rng_algorithm})\n")
 
 print(f"{'quantity':34} {'analytic':>10} {'simulated':>10}")
-print(f"{'delayed fraction':34} {strategy.phi:10.4f} {rec.empirical_delayed_fraction:10.4f}"
+print(f"{'delayed fraction':34} {strategy.phi:10.4f} {rep.delayed_fraction:10.4f}"
       f"   (SE {rec.delayed_fraction_se:.1e})")
 print(f"{'conditional mean delay [slots]':34} {rec.analytic_conditional_delay:10.4f}"
-      f" {rec.empirical_conditional_delay:10.4f}   (SE {rec.conditional_delay_se:.1e})")
+      f" {rep.mean_conditional_delay:10.4f}   (SE {rec.conditional_delay_se:.1e})")
 print(f"{'capacity / steady peak [msgs]':34} {rec.analytic_capacity:10.1f}"
       f" {rec.empirical_pattern_peak:10.1f}")
-print(f"{'single-run extreme peak [msgs]':34} {'':>10} {rec.peak_occupancy:10d}")
+print(f"{'single-run extreme peak [msgs]':34} {'':>10} {rep.peak_occupancy:10d}")
 print(f"\ndisagreements beyond 3 SE: {rec.flags or 'none'}\n")
 
 print("delay  analytic   simulated  (conditional pmf)")

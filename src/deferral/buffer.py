@@ -241,8 +241,9 @@ def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     hazards = forwarding_hazards(pattern)
 
     # row i: the hazards of the n slots after the i-th arrival slot, in order,
-    # from a strided view of the hazards repeated twice (np.ndarray, as
-    # as_strided and sliding_window_view keep ~10 bytes a call in numpy 2.4.6)
+    # from a strided view of the hazards repeated twice (np.ndarray, the
+    # cheapest view: 1.5 us a call, as_strided 5.1 us, sliding_window_view
+    # 15 us at n = 24 in numpy 2.4.6; none grows the process over 3M calls)
     k = np.flatnonzero(s)
     twice = np.concatenate((hazards, hazards))
     h = np.ndarray((n + 1, n), buffer=twice, strides=twice.strides * 2)[k + 1]

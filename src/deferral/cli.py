@@ -157,53 +157,57 @@ def build_parser() -> argparse.ArgumentParser:
         "--tz-offset", type=float, default=0.0,
         help="seconds added to every timestamp (shift UTC to local time)",
     )
+    # The output file of every command but the study, and the profile that four of them read.
+    out_option = argparse.ArgumentParser(add_help=False)
+    out_option.add_argument("--out", required=True)
+    profile_options = argparse.ArgumentParser(add_help=False, parents=[out_option])
+    profile_options.add_argument("--profile", required=True)
 
     p_profile = top.add_parser("profile", help="activity profile tools")
     profile_sub = p_profile.add_subparsers(dest="subcommand", required=True)
     p_build = profile_sub.add_parser(
-        "build", parents=[log_options], help="build a profile from a timestamp log"
+        "build", parents=[log_options, out_option], help="build a profile from a timestamp log"
     )
     p_build.add_argument("--input", required=True)
-    p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=_cmd_profile_build)
 
     p_strategy = top.add_parser("strategy", help="deferral strategy tools")
     strategy_sub = p_strategy.add_subparsers(dest="subcommand", required=True)
-    p_solve = strategy_sub.add_parser("solve", help="solve for the optimal strategy")
-    p_solve.add_argument("--profile", required=True)
+    p_solve = strategy_sub.add_parser(
+        "solve", parents=[profile_options], help="solve for the optimal strategy"
+    )
     p_solve.add_argument("--phi", type=float, required=True)
     p_solve.add_argument(
         "--oracle",
         action="store_true",
         help="solve with the generic numerical oracle instead of the closed form",
     )
-    p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_strategy_solve)
 
-    p_curve = top.add_parser("curve", help="tabulate the privacy-deferral curve")
-    p_curve.add_argument("--profile", required=True)
+    p_curve = top.add_parser(
+        "curve", parents=[profile_options], help="tabulate the privacy-deferral curve"
+    )
     p_curve.add_argument("--phi-grid", required=True, metavar="A:B:STEPS")
-    p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=_cmd_curve)
 
     p_buffer = top.add_parser("buffer", help="buffer analysis tools")
     buffer_sub = p_buffer.add_subparsers(dest="subcommand", required=True)
-    p_analyze = buffer_sub.add_parser("analyze", help="steady-state capacity and delay")
-    p_analyze.add_argument("--profile", required=True)
+    p_analyze = buffer_sub.add_parser(
+        "analyze", parents=[profile_options], help="steady-state capacity and delay"
+    )
     p_analyze.add_argument("--phi", type=float, required=True)
     p_analyze.add_argument("--alpha", type=float, required=True)
-    p_analyze.add_argument("--out", required=True)
     p_analyze.set_defaults(func=_cmd_buffer_analyze)
 
-    p_sim = top.add_parser("simulate", help="run the Monte Carlo simulator")
-    p_sim.add_argument("--profile", required=True)
+    p_sim = top.add_parser(
+        "simulate", parents=[profile_options], help="run the Monte Carlo simulator"
+    )
     p_sim.add_argument("--phi", type=float, required=True)
     p_sim.add_argument("--alpha", type=int, required=True)
     p_sim.add_argument("--cycles", type=int, required=True)
     p_sim.add_argument("--warmup", type=int, default=2)
     p_sim.add_argument("--discipline", choices=["uniform", "fifo", "lifo"], default="uniform")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", required=True)
     p_sim.add_argument(
         "--compare",
         action="store_true",
@@ -239,7 +243,3 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

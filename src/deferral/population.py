@@ -30,7 +30,6 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import integer, real
 from .buffer import capacity as buffer_capacity
@@ -227,7 +226,10 @@ def _columns(codes: np.ndarray, first: np.ndarray, length: np.ndarray, width: in
     place of those after the field's end.  ``codes`` ends in at least
     ``width - 1`` code points after the last field."""
     rows = np.arange(width)[:, None]
-    return np.where(rows < length, sliding_window_view(codes, width)[first].T, pad)
+    # window k, code points k to k + width - 1, as a strided view (see buffer.delay_distribution)
+    shape = (codes.size - width + 1, width)
+    windows = np.ndarray(shape, codes.dtype, codes, strides=codes.strides * 2)
+    return np.where(rows < length, windows[first].T, pad)
 
 
 def _group_split(text: str, codes: np.ndarray, first: np.ndarray, length: np.ndarray):

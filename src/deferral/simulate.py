@@ -102,7 +102,12 @@ def _draw_release(hypergeometric, held, live, total, take, hist, j):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulation run; immutable, checked when built."""
+    """Configuration of one simulation run; immutable, checked when built.
+
+    At most ``10**7`` cycles are measured: the run keeps two per-cycle
+    arrays for the batch-means standard errors, 16 bytes a measured cycle,
+    and steps through ``n`` slots of every cycle in Python.
+    """
 
     profile: ActivityProfile
     strategy: DeferralStrategy
@@ -131,6 +136,11 @@ class SimConfig:
         if self.alpha * (self.cycles - warmup) >= 2**63:
             got = f"{self.alpha} * {self.cycles - warmup}"
             raise ValueError(f"alpha * (cycles - warmup_cycles) must be below 2**63, got {got}")
+        if self.cycles - warmup > 10**7:
+            raise ValueError(
+                f"cycles - warmup_cycles must be at most 10**7, as the run keeps 16 bytes "
+                f"a measured cycle, got {self.cycles - warmup}"
+            )
 
 
 @dataclass(eq=False)
@@ -329,6 +339,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 class ComparisonRecord:
     """Analytic predictions next to their empirical estimates.
 
+    The empirical delay, delayed fraction and peak occupancy are those of
+    ``report``; ``empirical_pattern_peak`` is the peak of its mean occupancy.
+
     Standard errors come from per-cycle batch means, which are independent
     because the buffer drains every cycle.  ``flags`` lists every quantity
     that disagrees beyond three standard errors (or, for capacity, beyond
@@ -339,12 +352,9 @@ class ComparisonRecord:
     analytic_conditional_delay: float
     analytic_capacity: float
     analytic_pmf: np.ndarray
-    empirical_conditional_delay: float
     conditional_delay_se: float
-    empirical_delayed_fraction: float
     delayed_fraction_se: float
     empirical_pattern_peak: float
-    peak_occupancy: int
     peak_within_band: bool
     flags: list[str]
     report: SimReport
@@ -358,12 +368,12 @@ class ComparisonRecord:
                 "delay_pmf": [float(x) for x in self.analytic_pmf],
             },
             "empirical": {
-                "conditional_delay_slots": self.empirical_conditional_delay,
+                "conditional_delay_slots": self.report.mean_conditional_delay,
                 "conditional_delay_se": self.conditional_delay_se,
-                "delayed_fraction": self.empirical_delayed_fraction,
+                "delayed_fraction": self.report.delayed_fraction,
                 "delayed_fraction_se": self.delayed_fraction_se,
                 "pattern_peak_messages": self.empirical_pattern_peak,
-                "peak_occupancy": self.peak_occupancy,
+                "peak_occupancy": self.report.peak_occupancy,
             },
             "peak_within_band": self.peak_within_band,
             "flags": list(self.flags),
@@ -433,12 +443,9 @@ def empirical_vs_analytic(cfg: SimConfig) -> ComparisonRecord:
         analytic_conditional_delay=dist.expected_conditional,
         analytic_capacity=cap,
         analytic_pmf=dist.pmf,
-        empirical_conditional_delay=mean_cond,
         conditional_delay_se=cond_se,
-        empirical_delayed_fraction=frac,
         delayed_fraction_se=frac_se,
         empirical_pattern_peak=pattern_peak,
-        peak_occupancy=report.peak_occupancy,
         peak_within_band=peak_within,
         flags=flags,
         report=report,

@@ -330,8 +330,8 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
     ImportError
         If SciPy, the ``deferral[oracle]`` extra, is not installed.
     RuntimeError
-        If the optimizer fails to converge within 1000 iterations;
-        the message carries the best entropy found.
+        If SLSQP converges from none of its starts; the message quotes
+        why it stopped at each.
     """
     requested, eff = _effective_rate(profile, phi)
     q = profile.q
@@ -363,7 +363,7 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
             s0 *= eff / s0.sum() if s0.sum() > 0 else 1.0
             yield np.concatenate([s0, rng.dirichlet(np.ones(n)) * eff])
 
-    best = None
+    stops = []
     for x0 in starts():
         with warnings.catch_warnings():
             # the optimizer may probe just outside the box and clip back
@@ -378,17 +378,15 @@ def solve_numerical_oracle(profile: ActivityProfile, phi: float) -> DeferralStra
                 constraints=constraints,
                 options={"maxiter": 1000, "ftol": 1e-12},
             )
-        if best is None or res.fun < best.fun:
-            best = res
+        # the first start that converges: a failed one may score better
+        # only by leaving the feasible set
         if res.success:
             break
-    if not best.success:
-        raise RuntimeError(
-            "oracle did not converge within 1000 iterations; "
-            f"best entropy found: {-best.fun:.9f} bits ({best.message})"
-        )
+        stops.append(res.message)
+    else:
+        raise RuntimeError(f"oracle did not converge from any start: {'; '.join(stops)}")
 
-    t = np.clip(q - best.x[:n] + best.x[n:], 0.0, None)
+    t = np.clip(q - res.x[:n] + res.x[n:], 0.0, None)
     # Canonicalize to the minimal decomposition of t: any padding the
     # optimizer introduced is removed, then the mass is scaled onto phi.
     s = np.clip(q - t, 0.0, None)

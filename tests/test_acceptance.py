@@ -229,7 +229,7 @@ def test_criterion_6_theorem_vs_monte_carlo(mc_sweep):
     min_p = 1.0
     for _, rec in runs:
         se = rec.conditional_delay_se
-        dev = abs(rec.empirical_conditional_delay - rec.analytic_conditional_delay)
+        dev = abs(rec.report.mean_conditional_delay - rec.analytic_conditional_delay)
         worst_z = max(worst_z, dev / se if se > 0 else 0.0)
         min_p = min(
             min_p,
@@ -248,7 +248,7 @@ def test_criterion_6_theorem_vs_monte_carlo(mc_sweep):
         abs(dist.pmf[2] - 0.1) <= 1e-12
         and dist.pmf.sum() == pytest.approx(0.1, abs=1e-12)
         and dist.expected_conditional == pytest.approx(3.0, abs=1e-12)
-        and rec.empirical_conditional_delay == 3.0
+        and rec.report.mean_conditional_delay == 3.0
     )
     elapsed = sweep_elapsed + time.perf_counter() - start
     report(

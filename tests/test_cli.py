@@ -481,23 +481,42 @@ class TestPopulationStudy:
                 assert (reused / name).read_bytes() == (fresh / name).read_bytes(), (run, name)
 
 
+def subcommand(parser, *path):
+    for name in path:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
 class TestParser:
     def test_log_readers_share_their_options(self):
         def command(*path):
-            parser = build_parser()
-            for name in path:
-                (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-                parser = sub.choices[name]
             return {
                 action.dest: (action.option_strings, action.type, action.choices,
                               action.default, action.help)
-                for action in parser._actions
+                for action in subcommand(build_parser(), *path)._actions
                 if action.dest in ("format", "slots", "period", "tz_offset")
             }
 
         build, study = command("profile", "build"), command("population", "study")
         assert len(build) == 4 and build == study
         assert build["tz_offset"][-1].startswith("seconds added to every timestamp")
+
+    def test_profile_readers_share_their_options(self):
+        parser = build_parser()
+
+        def command(*path):
+            return [a for a in subcommand(parser, *path)._actions if a.dest in ("profile", "out")]
+
+        solve, curve, analyze, simulate = (
+            command("strategy", "solve"), command("curve"), command("buffer", "analyze"),
+            command("simulate"),
+        )
+        assert len(solve) == 2 and solve == curve == analyze == simulate
+        assert all(action.required for action in solve)
+        # the log reader writes a file too, declared by the same action
+        (out,) = command("profile", "build")
+        assert out is solve[0] and out.dest == "out"
 
 
 class TestEntryPoint:

@@ -80,6 +80,7 @@ PARAMETERS = [
      [4 * 10**18, 2**63]),
     (lambda v: simulation(alpha=10**9 - 1, cycles=v, warmup_cycles=0), "alpha * (cycles - warmup_cycles)",
      [10**10], "SimConfig "),
+    (lambda v: simulation(cycles=v, warmup_cycles=0), "cycles - warmup_cycles", [10**7 + 1], "SimConfig "),
     (lambda v: solve_grid_oracle(PROFILE, 0.1, step=v), "step", [True, 0, -1e-3, 0.6, NAN, INF, "0.01", 1e300]),
     (lambda v: waterfill(v, [[0.1]]), "Q",
      [[0.7, 0.3], 0.5, np.empty((0, 0)), np.ones((1, 2, 2)), [["a", "b"]], [["0.5", "0.5"]], [[True, False]]]),

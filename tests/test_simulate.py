@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,23 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="^cycles must be an integer >= 1, got 0$"):
             dataclasses.replace(cfg, cycles=0)
         assert dataclasses.replace(cfg, seed=7).seed == 7
+
+    def test_refuses_too_many_measured_cycles_before_allocating(self):
+        # the per-cycle arrays of 10**12 cycles would take 16 TB
+        prof = profile([0.97, 0.01, 0.01, 0.01])
+        strat = solve_optimal(prof, 0.2)
+        message = (r"^cycles - warmup_cycles must be at most 10\*\*7, as the run keeps "
+                   r"16 bytes a measured cycle, got 999999999998$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                SimConfig(profile=prof, strategy=strat, alpha=1, cycles=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        cfg = SimConfig(profile=prof, strategy=strat, alpha=1, cycles=10**7 + 2)
+        assert cfg.cycles - cfg.warmup_cycles == 10**7
 
 
 class TestRunSimulation:
@@ -248,7 +266,7 @@ class TestEmpiricalVsAnalytic:
     def test_single_flow_exact_agreement(self):
         rec = empirical_vs_analytic(single_flow_cfg())
         assert rec.analytic_conditional_delay == pytest.approx(3.0, abs=1e-12)
-        assert rec.empirical_conditional_delay == 3.0
+        assert rec.report.mean_conditional_delay == 3.0
         assert rec.analytic_capacity == pytest.approx(1000.0)
         assert rec.flags == []
 
@@ -260,9 +278,17 @@ class TestEmpiricalVsAnalytic:
         )
         rec = empirical_vs_analytic(cfg)
         assert rec.analytic_delta_bar == 0.0
-        assert rec.empirical_conditional_delay == 0.0
+        assert rec.report.mean_conditional_delay == 0.0
         assert rec.analytic_capacity == 0.0
-        assert rec.peak_occupancy == 0
+        assert rec.report.peak_occupancy == 0
+
+    def test_empirical_values_are_the_reports(self):
+        rec = empirical_vs_analytic(random_cfg(seed=77, cycles=20))
+        report, empirical = rec.report, rec.to_dict()["empirical"]
+        assert empirical["conditional_delay_slots"] == report.mean_conditional_delay
+        assert empirical["delayed_fraction"] == report.delayed_fraction
+        assert empirical["peak_occupancy"] == report.peak_occupancy
+        assert empirical["pattern_peak_messages"] == report.mean_occupancy.max()
 
     def test_random_profile_within_three_se(self):
         rec = empirical_vs_analytic(random_cfg(seed=123, cycles=100))

@@ -284,6 +284,30 @@ class TestNumericalOracle:
         assert feasibility_violation(prof.q, strat.s, strat.r, strat.phi) is None
         assert np.minimum(strat.s, strat.r).max() <= 1e-12
 
+    def test_a_failed_start_does_not_hide_a_converged_one(self):
+        # the first start stops off the feasible set 1e-10 bits above the
+        # optimum; the second converges to it
+        q = np.random.default_rng(21).dirichlet(np.full(24, 0.05))
+        prof = ActivityProfile(SlotScheme.day(24), q, count=100.0)
+        phi = 0.01 * critical_rate(prof)
+        strat, closed = solve_numerical_oracle(prof, phi), solve_optimal(prof, phi)
+        assert abs(strat.entropy_bits() - closed.entropy_bits()) <= 1e-6
+
+    def test_raises_only_when_every_start_fails(self, monkeypatch):
+        from scipy import optimize
+
+        stops = []
+
+        def failed(fun, x0, **kwargs):
+            stops.append(f"stop {len(stops) + 1}")
+            return optimize.OptimizeResult(x=x0, fun=-1.0, success=False, message=stops[-1])
+
+        monkeypatch.setattr(optimize, "minimize", failed)
+        message = "^oracle did not converge from any start: stop 1; stop 2; stop 3; stop 4$"
+        with pytest.raises(RuntimeError, match=message):
+            solve_numerical_oracle(profile(THREE), 0.1)
+        assert len(stops) == 4
+
 
 class TestGridOracle:
     def test_never_beats_closed_form(self):
