@@ -1,4 +1,5 @@
-"""The input contract: each public scalar parameter is checked here, once."""
+"""The input contract: each public scalar parameter, and the dtype of each
+array argument, is checked here, once."""
 
 import numpy as np
 
@@ -45,12 +46,20 @@ def real(name, value, lo=-np.inf, hi=np.inf, *, open_lo=False, open_hi=False, wh
     raise ValueError(f"{name} must {what}, got {value!r}")
 
 
+def numbers(name, values) -> np.ndarray:
+    """``values`` as a float array, refused unless of int, uint or float kind:
+    strings, bools and objects, which a float cast would take or fail on, are
+    refused by name."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def finite_array(name, values) -> np.ndarray:
-    """``values`` as a float array, refused unless of int, uint or float kind
-    or if an entry is NaN or infinite."""
-    if np.asarray(values).dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be finite numbers, got {values!r}")
-    values = np.asarray(values, dtype=float)
+    """``values`` as a float array of :func:`numbers`, refused if an entry is
+    NaN or infinite."""
+    values = numbers(name, values)
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)]
         raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")

@@ -219,6 +219,15 @@ def forwarding_hazards(pattern: SteadyStatePattern) -> np.ndarray:
     return hazards
 
 
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """The windows of ``width`` entries over the contiguous 1-d ``a``, row
+    ``k`` its entries ``k`` to ``k + width - 1``, as an unchecked strided
+    view.  ``np.ndarray`` makes the cheapest view: 1.5 us a call, against
+    5.1 us for ``as_strided`` and 15 us for ``sliding_window_view`` at
+    n = 24 in numpy 2.4.6; none grows the process over 3M calls."""
+    return np.ndarray((a.size - width + 1, width), a.dtype, a, strides=a.strides * 2)
+
+
 def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     """Exact delay distribution under uniformly-random extraction.
 
@@ -241,12 +250,9 @@ def delay_distribution(pattern: SteadyStatePattern) -> DelayDistribution:
     hazards = forwarding_hazards(pattern)
 
     # row i: the hazards of the n slots after the i-th arrival slot, in order,
-    # from a strided view of the hazards repeated twice (np.ndarray, the
-    # cheapest view: 1.5 us a call, as_strided 5.1 us, sliding_window_view
-    # 15 us at n = 24 in numpy 2.4.6; none grows the process over 3M calls)
+    # a window of the hazards repeated twice
     k = np.flatnonzero(s)
-    twice = np.concatenate((hazards, hazards))
-    h = np.ndarray((n + 1, n), buffer=twice, strides=twice.strides * 2)[k + 1]
+    h = _windows(np.concatenate((hazards, hazards)), n)[k + 1]
     terms = np.empty(h.shape)
     terms[:, 0] = 1.0
     np.cumprod(1.0 - h[:, :-1], axis=1, out=terms[:, 1:])

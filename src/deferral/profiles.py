@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import finite_array, integer, real
+from ._checks import finite_array, integer, numbers, real
 
 #: Tolerance used when validating that a vector is a PMF.
 PMF_ATOL = 1e-9
@@ -174,10 +174,7 @@ class ActivityProfile:
 
 
 def _validate_pmf(p: np.ndarray, name: str = "input") -> np.ndarray:
-    p = np.asarray(p)
-    if p.dtype.kind not in "iuf":  # such as strings or bools, which a float cast would take
-        raise ValueError(f"not a PMF: {name} must hold numbers, got dtype {p.dtype}")
-    p = p.astype(float, copy=False)
+    p = numbers(f"not a PMF: {name}", p)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"not a PMF: {name} must be a nonempty 1-d vector")
     # Accept on two silent reductions (feasibility_violation accepts on five).
@@ -201,9 +198,7 @@ def _pmf_rows(P, name: str, row_name: str = "input") -> tuple[np.ndarray, np.nda
     P = np.asarray(P)
     if P.ndim != 2:
         raise ValueError(f"{name} must be a U x n array of PMF rows, got shape {P.shape}")
-    if P.dtype.kind not in "iuf":  # such as strings or bools, which a float cast would take
-        raise ValueError(f"{name} must hold numbers, got dtype {P.dtype}")
-    P = P.astype(float, copy=False)
+    P = numbers(name, P)
     with np.errstate(all="ignore"):
         low = P.min(axis=1, initial=np.inf)  # inf for an empty row, which fails the sum
         off = np.abs(P.sum(axis=1) - 1.0)
@@ -230,9 +225,9 @@ def uniform_pmf(n: int) -> np.ndarray:
 def entropy(p) -> float:
     """Shannon entropy of a PMF in bits, with the convention 0*log(0) = 0;
     the one-row case of :func:`entropy_rows`."""
-    p = np.asarray(p)
-    if p.ndim != 1 or p.dtype.kind not in "iuf":
-        _validate_pmf(p)  # raises, naming the dtype or the shape
+    p = numbers("not a PMF: input", p)
+    if p.ndim != 1:
+        _validate_pmf(p)  # raises, naming the shape
     return float(entropy_rows(p[None])[0])
 
 

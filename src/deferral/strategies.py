@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._checks import finite_array, real
+from ._checks import finite_array, numbers, real
 from .profiles import (
     ActivityProfile, _critical_rates, _pmf_rows, critical_rate, entropy, entropy_rows,
 )
@@ -78,7 +78,8 @@ class DeferralStrategy:
         The water-filling levels of :func:`solve_optimal`, else None.
 
     Immutable: the attributes are read-only properties, and validated once,
-    at construction, against ``q_ref``.  A feasible pair is accepted after
+    at construction, against ``q_ref``; ``s`` and ``r`` must hold numbers
+    (int, uint or float), not strings or bools.  A feasible pair is accepted after
     a fixed set of five whole-array reductions (two sums, two minima, one
     maximum); the ordered checks that name the first violated constraint
     run only when one of those fails.  ``s`` and ``r`` of one shape are
@@ -92,7 +93,7 @@ class DeferralStrategy:
 
     def __init__(self, s, r, phi: float, q_ref: ActivityProfile):
         phi = _check_phi(phi)
-        s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
+        s, r = numbers("s", s), numbers("r", r)
         if s.shape != r.shape:  # feasibility_violation names the shapes
             raise ValueError(f"infeasible strategy: {feasibility_violation(q_ref.q, s, r, phi)}")
         self._keep(_snap((s, r)), phi, q_ref)

@@ -68,6 +68,10 @@ PARAMETERS = [
     (lambda v: nearest_rank_percentile(v, 50), "values", [5.0, True, None, ["a", "b"], [True, False], [], np.empty((0, 3))]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
+    (lambda v: DeferralStrategy(v, [0, 0, 0, 0.1], 0.1, PROFILE), "s",
+     [["0.1", "0", "0", "0"], [False] * 4, None, "0.1"]),
+    (lambda v: DeferralStrategy([0.1, 0, 0, 0], v, 0.1, PROFILE), "r",
+     [["0", "0", "0", "0.1"], [False] * 4, None, "0.1"]),
     (lambda v: study({"u": PROFILE}, v), "phi_grid", [0.1, None, True, np.array(0.1)]),
     (lambda v: privacy_deferral_curve(PROFILE, v), "phis", [0.1, None, True, np.array(0.1)]),
     (lambda v: relative_privacy_gain(PROFILE, v), "entropy_bits", [True, NAN, INF, -INF, "1.5", None, [1.0, NAN]]),
