@@ -10,7 +10,6 @@ experiment harness.
 from .profiles import (
     ActivityProfile,
     SlotScheme,
-    TimestampRecord,
     critical_rate,
     entropy,
     entropy_rows,
@@ -59,7 +58,6 @@ __all__ = [
     "SimReport",
     "SlotScheme",
     "SteadyStatePattern",
-    "TimestampRecord",
     "analyze_buffer",
     "capacity",
     "critical_rate",

@@ -58,7 +58,7 @@ class SteadyStatePattern:
     r_prime: np.ndarray
     alpha: float
     phi: float
-    slot_duration: float = 3600.0
+    slot_duration: float
 
     @property
     def n(self) -> int:
@@ -118,7 +118,7 @@ def find_starting_index(strat: DeferralStrategy) -> int:
     ``CAUSALITY_ATOL`` of the minimum is a candidate; index ``n - 1`` wraps to
     slot 1, the smallest possible, and any other index ``j`` gives ``j + 2``.
     """
-    a = np.asarray(strat.s, dtype=float) - np.asarray(strat.r, dtype=float)
+    a = strat.s - strat.r
     w = np.cumsum(a)
     ties = np.flatnonzero(w <= w.min() + CAUSALITY_ATOL)
     return 1 if ties[-1] == a.shape[0] - 1 else int(ties[0]) + 2

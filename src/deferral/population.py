@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import integer, numbers, real
+from ._checks import finite_array, integer, real
 from .buffer import _windows, steady_state
 from .buffer import capacity as buffer_capacity
 from .profiles import (
@@ -474,9 +474,9 @@ def synth_population(
 
 def nearest_rank_percentile(values, pct: float):
     """Nearest-rank percentile: smallest value covering ``pct`` percent; for
-    2-d ``values`` of numbers, the array of each column's, from one sort."""
+    2-d ``values`` of finite numbers, the array of each column's, from one sort."""
     pct = real("percentile pct", pct, 0.0, 100.0)
-    array = numbers("values", values)
+    array = finite_array("values", values)
     if array.ndim == 0:
         raise ValueError(f"values must be a sequence of numbers, got {values!r}")
     ordered = np.sort(array, axis=0)

@@ -212,7 +212,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     q_rot = q_rot / q_rot.sum()
     s_rot = pattern.s_prime
     p_store = np.clip(s_rot / np.where(q_rot > 0, q_rot, 1.0), 0.0, 1.0)
-    p_store[q_rot == 0] = 0.0
 
     rng = np.random.default_rng(cfg.seed)
     hypergeometric = rng.hypergeometric

@@ -25,7 +25,8 @@ brute-force enumeration for small alphabets.
 Beyond the critical rate (the total variation distance between ``q`` and
 uniform) the apparent profile is already uniform and extra deferral buys
 nothing, so rates above it are clamped.  Only the solvers record on a
-strategy the rate asked for, and only :func:`solve_optimal` its levels.
+strategy the rate asked for, and only :func:`solve_optimal` its levels;
+both are set with the rest of the strategy, in one call, never after it.
 
 All solvers are pure functions of their inputs and thread-safe; points of a
 rate grid can be evaluated concurrently.
@@ -96,10 +97,13 @@ class DeferralStrategy:
         s, r = numbers("s", s), numbers("r", r)
         if s.shape != r.shape:  # feasibility_violation names the shapes
             raise ValueError(f"infeasible strategy: {feasibility_violation(q_ref.q, s, r, phi)}")
-        self._keep(_snap((s, r)), phi, q_ref)
+        self._keep((s, r), phi, q_ref, phi, (None, None))
 
-    def _keep(self, sr: np.ndarray, phi: float, q_ref: ActivityProfile) -> None:
-        """Validate and keep ``sr``, a snapped ``[s; r]`` no caller holds."""
+    def _keep(self, sr, phi: float, q_ref: ActivityProfile, requested: float, levels) -> None:
+        """Snap ``sr``, an ``[s; r]`` of floats, validate it and set every slot:
+        the one writer of a strategy, with the rate asked for and the
+        ``(theta_lo, theta_hi)`` levels."""
+        sr = _snap(sr)  # a new array, so no caller holds it
         sr.setflags(write=False)  # first: the rows below are views, read-only too
         s, r = sr
         violation = feasibility_violation(q_ref.q, s, r, phi)
@@ -107,8 +111,8 @@ class DeferralStrategy:
             raise ValueError(f"infeasible strategy: {violation}")
         t = _apparent(q_ref.q, s, r)
         t.setflags(write=False)
-        self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, phi
-        self._theta_hi, self._theta_lo, self._t = None, None, t
+        self._s, self._r, self._phi, self._q_ref, self._requested_phi = s, r, phi, q_ref, requested
+        (self._theta_lo, self._theta_hi), self._t = levels, t
 
     s, r, phi, q_ref, requested_phi, theta_hi, theta_lo = (
         property(attrgetter(slot)) for slot in __slots__[:-1]
@@ -219,8 +223,7 @@ def _prefix(Q) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The per-profile stage of :func:`waterfill` for U x n ``Q``: the 2U rows
     ``[Q; -Q]``, the prefix sums ``c`` of each row sorted in descending order
     ``v``, the next value ``v_{k+1}`` of that order, ``-inf`` past the end,
-    and the counts ``k = 1..n``."""
-    Q = np.asarray(Q, dtype=float)
+    and the counts ``k = 1..n``; ``Q`` is a float array."""
     u = np.sort(Q, axis=1)
     v = np.concatenate([u[:, ::-1], -u])
     below = np.concatenate([v[:, 1:], np.full((v.shape[0], 1), -np.inf)], axis=1)
@@ -236,9 +239,9 @@ def _profile_prefix(profile: ActivityProfile):
 def _levels(prefix, phi2) -> np.ndarray:
     """The per-rate stage of :func:`waterfill`: the top levels of the rows of a
     :func:`_prefix` at 2U x K rates, ``(c_k - phi) / k`` at the first k where
-    it is ``>= v_{k+1}``."""
+    it is ``>= v_{k+1}``; ``phi2`` is a float array."""
     _, c, below, k = prefix
-    theta = (c[:, None, :] - np.asarray(phi2, dtype=float)[:, :, None]) / k
+    theta = (c[:, None, :] - phi2[:, :, None]) / k
     first = (theta >= below[:, None, :]).argmax(axis=2)
     return theta.reshape(-1, k.size)[np.arange(first.size), first.ravel()].reshape(first.shape)
 
@@ -282,9 +285,7 @@ def _solved(profile, sr, phi, requested, levels=(None, None)) -> DeferralStrateg
     """A solver's strategy from its ``[s; r]``, with the rate asked for and its
     ``(theta_lo, theta_hi)``; ``phi`` is already checked."""
     strategy = DeferralStrategy.__new__(DeferralStrategy)
-    strategy._keep(_snap(sr), phi, profile)
-    strategy._requested_phi = requested
-    strategy._theta_lo, strategy._theta_hi = levels
+    strategy._keep(sr, phi, profile, requested, levels)
     return strategy
 
 
@@ -304,7 +305,7 @@ def solve_optimal(profile: ActivityProfile, phi: float) -> DeferralStrategy:
     theta = (c - eff) / k
     level = theta[_ROWS, (theta >= below).argmax(axis=1)]
     # [q; -q] minus [theta_hi; -theta_lo]: -q + theta_lo is exactly theta_lo - q
-    sr = np.maximum(rows - level[:, None], 0.0)  # _solved snaps it
+    sr = np.maximum(rows - level[:, None], 0.0)  # _keep snaps it
     return _solved(profile, sr, eff, requested, (-float(level[1]), float(level[0])))
 
 

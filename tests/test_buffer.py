@@ -82,6 +82,14 @@ class TestSteadyState:
         assert np.allclose(pattern.b, [0.1, 0.1, 0.1, 0.0], atol=1e-15)
         assert pattern.b[-1] == 0.0
 
+    def test_slot_length_is_the_schemes_and_has_no_default(self):
+        strat = single_flow_fixture()
+        pattern = steady_state(strat, 1000.0)
+        assert pattern.slot_duration == strat.q_ref.scheme.slot_duration
+        fields = {k: getattr(pattern, k) for k in ("start_index", "b", "s_prime", "r_prime", "alpha", "phi")}
+        with pytest.raises(TypeError, match="slot_duration"):
+            SteadyStatePattern(**fields)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             steady_state(single_flow_fixture(), 0.0)
@@ -215,6 +223,7 @@ class TestDelayDistribution:
             r_prime=np.array([0.1, 0.0, 0.0]),
             alpha=100.0,
             phi=0.1,
+            slot_duration=3600.0,
         )
         with pytest.raises(ValueError, match="non-causal"):
             forwarding_hazards(pattern)
@@ -226,7 +235,7 @@ class TestDelayDistribution:
         s, r = np.array([0.1, 5e-13, 0.0]), np.array([0.0, 5e-13, 0.1])
         pattern = SteadyStatePattern(
             start_index=1, b=np.array([0.1, 0.1, 0.0]), s_prime=s, r_prime=r,
-            alpha=1.0, phi=float(s.sum()),
+            alpha=1.0, phi=float(s.sum()), slot_duration=3600.0,
         )
         assert forwarding_hazards(pattern).tolist() == [0.0, 5e-12, 1.0]
         assert delay_distribution(pattern).pmf.sum() - s.sum() == 0.0
@@ -507,7 +516,8 @@ class TestScalarReference:
         r = rng.uniform(0.0, 0.05, n) * (rng.random(n) < 0.5)
         s = rng.uniform(0.0, 0.05, n) * (rng.random(n) < 0.5)
         pattern = SteadyStatePattern(
-            start_index=1, b=b, s_prime=s, r_prime=r, alpha=1.0, phi=float(s.sum())
+            start_index=1, b=b, s_prime=s, r_prime=r, alpha=1.0, phi=float(s.sum()),
+            slot_duration=3600.0,
         )
         got = outcome(forwarding_hazards, pattern)
         want = outcome(ref_forwarding_hazards, pattern)

@@ -12,7 +12,6 @@ from deferral import (
     DeferralStrategy,
     SimConfig,
     SlotScheme,
-    TimestampRecord,
     entropy,
     entropy_rows,
     ingest,
@@ -30,6 +29,7 @@ from deferral import (
 )
 from deferral.cli import main
 from deferral.population import nearest_rank_percentile
+from deferral.profiles import TimestampRecord
 
 NAN, INF = math.nan, math.inf
 SCHEME = SlotScheme(4, 100.0)
@@ -65,7 +65,8 @@ PARAMETERS = [
     (lambda v: synth_population(2, mean_messages=v), "mean_messages", [True, 0, -1.0, NAN, INF, "9", 1e19]),
     (lambda v: synth_population(2, seed=v), "seed", [True, -1, 1.5, NAN, INF, "0"]),
     (lambda v: nearest_rank_percentile([1, 2], v), "percentile pct", [True, -5, 150, NAN, INF, "50", 1e300]),
-    (lambda v: nearest_rank_percentile(v, 50), "values", [5.0, True, None, ["a", "b"], [True, False], [], np.empty((0, 3))]),
+    (lambda v: nearest_rank_percentile(v, 50), "values",
+     [5.0, True, None, ["a", "b"], [True, False], [], np.empty((0, 3)), [1.0, NAN], [INF, 1.0]]),
     (lambda v: solve_optimal(PROFILE, v), "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1", 1e300]),
     (strategy, "deferral rate", [True, -0.1, 1.0, NAN, INF, "0.1"], "DeferralStrategy "),
     (lambda v: DeferralStrategy(v, [0, 0, 0, 0.1], 0.1, PROFILE), "s",

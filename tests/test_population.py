@@ -1027,6 +1027,9 @@ class TestNearestRankPercentile:
     def test_columns_are_the_percentiles_of_each_column(self, rows):
         values = np.random.default_rng(rows).normal(size=(rows, 5)).round(1)  # with ties
         values[0, 1] = np.inf
+        with pytest.raises(ValueError, match="^values must be finite, got inf$"):
+            nearest_rank_percentile(values, 50)
+        values[0, 1] = np.finfo(float).max  # an extreme column entry, ranked like any other
         for pct in (0, 10, 50, 90, 100):
             got = nearest_rank_percentile(values, pct)
             want = [nearest_rank_percentile(values[:, k], pct) for k in range(5)]

@@ -395,6 +395,37 @@ class TestValidateOnce:
         strat.entropy_bits()
         assert len(calls) == 1
 
+    def test_no_slot_is_written_after_validation(self, monkeypatch):
+        # _keep is the one writer: each slot still holds what it set, and
+        # every strategy is snapped exactly once
+        kept, snaps = {}, []
+        keep, snap = DeferralStrategy._keep, strategies._snap
+
+        def recorded(self, *args):
+            keep(self, *args)
+            kept[self] = {slot: getattr(self, slot) for slot in DeferralStrategy.__slots__}
+
+        def counted(values):
+            snaps.append(1)
+            return snap(values)
+
+        monkeypatch.setattr(DeferralStrategy, "_keep", recorded)
+        monkeypatch.setattr(strategies, "_snap", counted)
+        prof = random_profiles(6, 1, seed=5)[0]
+        built = [
+            DeferralStrategy(s=[0.1, 0, 0], r=[0, 0.05, 0.05], phi=0.1, q_ref=profile(THREE)),
+            solve_optimal(prof, 0.1),
+            solve_optimal(prof, 0.99),  # clamped
+            solve_numerical_oracle(prof, 0.1),
+            solve_numerical_oracle(prof, 0.99),  # clamped
+            solve_numerical_oracle(profile([1 / 3] * 3), 0.3),  # effective rate 0
+        ]
+        assert built[2].clamped and built[4].clamped and built[5].phi == 0.0
+        assert built[1].theta_lo is not None and built[5].requested_phi == 0.3
+        assert len(kept) == len(snaps) == len(built)
+        for strat in built:
+            assert all(getattr(strat, slot) is value for slot, value in kept[strat].items())
+
     def test_one_entropy_per_rate_plus_one_per_profile(self, monkeypatch):
         calls = []
 
